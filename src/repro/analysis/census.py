@@ -32,7 +32,6 @@ from repro.core.budget import Budget, BudgetExceeded, Partial, resolve_budget
 from repro.core.phase_space import PhaseSpace
 from repro.core.rules import MajorityRule
 from repro.obs import span
-from repro.perf.base import CHUNK as _CHUNK
 from repro.perf.base import MAX_ATTRACTOR_N
 from repro.spaces.line import Ring
 from repro.util.bitops import int_to_bits
@@ -192,15 +191,10 @@ def build_attractor_census(
     pure-JSON frontier (the next unscanned code plus the counts folded so
     far); resuming completes the census byte-identically because counts
     of disjoint code ranges merge exactly
-    (:func:`~repro.perf.attractor.merge_counts`).
+    (:func:`~repro.perf.counts.run_governed`).
     """
-    from repro.perf.attractor import (
-        ATTRACTOR_CHUNK,
-        AttractorKernel,
-        K_COUNTS,
-        merge_counts,
-        zero_counts,
-    )
+    from repro.perf.attractor import AttractorKernel
+    from repro.perf.counts import run_governed
 
     budget = resolve_budget(budget)
     n = ca.n
@@ -211,60 +205,6 @@ def build_attractor_census(
     if kernel is None:
         kernel = AttractorKernel(ca)
     total = 1 << n
-    from repro.harness import faults
-
-    counts = zero_counts()
-    start = 0
-    if frontier is not None:
-        if (
-            frontier.get("kind") != "attractor_census"
-            or int(frontier.get("n", -1)) != n
-        ):
-            raise ValueError(
-                f"frontier is not an attractor-census frontier for n={n}: "
-                f"{ {k: frontier[k] for k in ('kind', 'n') if k in frontier} }"
-            )
-        start = int(frontier["next_lo"])
-        prior = np.asarray(frontier.get("counts", []), dtype=np.int64)
-        if prior.size != K_COUNTS:
-            raise ValueError(
-                f"attractor-census frontier has {prior.size} count slots, "
-                f"expected {K_COUNTS}"
-            )
-        counts[:] = prior
-    transient = kernel.transient_bytes()
-    # Small spaces keep the sweeps' fine chunk (honest budget-trip
-    # granularity); big spaces use ranges wide enough to fill lane blocks.
-    step = _CHUNK if total <= ATTRACTOR_CHUNK else ATTRACTOR_CHUNK
-
-    def _frontier(next_lo: int) -> dict[str, object]:
-        return {
-            "kind": "attractor_census",
-            "n": n,
-            "automaton": ca.describe(),
-            "total": total,
-            "next_lo": next_lo,
-            "counts": [int(v) for v in counts],
-        }
-
-    def _row() -> AttractorCensusRow:
-        return AttractorCensusRow(
-            n=n,
-            configurations=int(counts[2]),
-            orbit_reps=int(counts[1]),
-            fixed_points=int(counts[3]),
-            cycle_configs=int(counts[4]),
-            two_cycle_configs=int(counts[5]),
-            max_cycle_len=int(counts[6]),
-            quotient=kernel.quotient.mode,
-        )
-
-    def _stats() -> dict[str, int]:
-        return {
-            "orbit_reps_so_far": int(counts[1]),
-            "fixed_points_so_far": int(counts[3]),
-        }
-
     with span(
         "census.attractor",
         n=n,
@@ -272,45 +212,11 @@ def build_attractor_census(
         quotient=kernel.quotient.mode,
         budget=budget.describe(),
     ) as census_span:
-        backend = ca.backend
-        if backend.is_sharded:
-            next_lo, reason = backend.governed_sweep(
-                counts,
-                budget,
-                start=start,
-                per_state=0,
-                mode="attractor",
-                kernel=kernel,
-            )
-            if reason is not None:
-                census_span.set(truncated=reason, explored=next_lo)
-                return Partial.truncated(
-                    reason,
-                    explored=next_lo,
-                    total=total,
-                    stats=_stats(),
-                    frontier=_frontier(next_lo),
-                )
-        else:
-            lo = start
-            while lo < total:
-                hi = min(lo + step, total)
-                reason = budget.over(
-                    pending_bytes=transient, pending_states=hi - lo
-                )
-                if reason is not None:
-                    census_span.set(truncated=reason, explored=lo)
-                    return Partial.truncated(
-                        reason,
-                        explored=lo,
-                        total=total,
-                        stats=_stats(),
-                        frontier=_frontier(lo),
-                    )
-                faults.inject("census.chunk")
-                merge_counts(counts, kernel.census_range(lo, hi))
-                budget.charge(states=hi - lo, bytes_=0)
-                lo = hi
+        partial = run_governed(kernel, total, budget, frontier, ca.backend)
+        if not partial.complete:
+            census_span.set(truncated=partial.reason, explored=partial.explored)
+            return partial
+        counts = partial.value
         if int(counts[2]) != total:
             # The coverage identity (orbit weights sum to 2**n) failed —
             # a quotient bug; never report a wrong census as exact.
@@ -320,15 +226,22 @@ def build_attractor_census(
                 f"configurations",
                 explored=total,
                 total=total,
-                stats=_stats(),
-                frontier=None,
+                stats=partial.stats,
             )
         census_span.set(
             fixed_points=int(counts[3]), orbit_reps=int(counts[1])
         )
-        return Partial.done(
-            _row(), explored=total, total=total, stats=_stats()
+        row = AttractorCensusRow(
+            n=n,
+            configurations=int(counts[2]),
+            orbit_reps=int(counts[1]),
+            fixed_points=int(counts[3]),
+            cycle_configs=int(counts[4]),
+            two_cycle_configs=int(counts[5]),
+            max_cycle_len=int(counts[6]),
+            quotient=kernel.quotient.mode,
         )
+        return Partial.done(row, explored=total, total=total, stats=partial.stats)
 
 
 def attractor_ring_census(

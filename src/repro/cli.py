@@ -106,6 +106,7 @@ from repro.core.schedules import (
 from repro.experiments import EXPERIMENTS
 from repro.experiments.registry import get_experiment
 from repro.harness import faults
+from repro.harness.checkpoint import load_frontier, save_frontier
 from repro.perf.base import MAX_SWEEP_N, BackendUnsupported
 from repro.perf.supervise import ShardFailed
 from repro.spaces.base import FiniteSpace
@@ -735,11 +736,41 @@ def _cmd_simulate(args: argparse.Namespace, out) -> int:
     return 0
 
 
+def _load_resume(resume_dir: str | None, out) -> dict | None:
+    """The frontier saved in ``resume_dir`` (announced on ``out``), or None."""
+    frontier = load_frontier(resume_dir) if resume_dir else None
+    if frontier is not None:
+        print(
+            f"resuming from {resume_dir} "
+            f"(previously explored {frontier.get('explored', 0)} configs)",
+            file=out,
+        )
+    return frontier
+
+
+def _truncated(partial, resume_dir: str | None, out) -> int:
+    """Report a budget-truncated partial, checkpoint its frontier; exit 3."""
+    print(f"  {partial.describe()}", file=out)
+    for key, value in (partial.stats or {}).items():
+        print(f"  {key}: {value}", file=out)
+    if partial.frontier is not None and resume_dir:
+        save_frontier(resume_dir, partial)
+        print(
+            f"  frontier saved — rerun with --resume {resume_dir} to continue",
+            file=out,
+        )
+    elif partial.frontier is not None:
+        print(
+            "  (pass --resume DIR to checkpoint the frontier for later)",
+            file=out,
+        )
+    return 3
+
+
 def _cmd_phase_space(args: argparse.Namespace, out) -> int:
     from repro.core.budget import ambient_budget
     from repro.core.nondet import build_nondet_phase_space
     from repro.core.phase_space import build_phase_space
-    from repro.harness.checkpoint import load_frontier, save_frontier
     from repro.util.validation import check_memory_budget
 
     space = _make_space(args)
@@ -767,15 +798,7 @@ def _cmd_phase_space(args: argparse.Namespace, out) -> int:
         check_memory_budget(ca.n, budget.mem_bytes)
     except ValueError as err:
         raise SystemExit(str(err)) from err
-    frontier = None
-    if resume_dir:
-        frontier = load_frontier(resume_dir)
-        if frontier is not None:
-            print(
-                f"resuming from {resume_dir} "
-                f"(previously explored {frontier.get('explored', 0)} configs)",
-                file=out,
-            )
+    frontier = _load_resume(resume_dir, out)
     print(ca.describe(), file=out)
     build = (
         build_phase_space if args.mode == "parallel" else build_nondet_phase_space
@@ -784,25 +807,9 @@ def _cmd_phase_space(args: argparse.Namespace, out) -> int:
         partial = build(ca, frontier=frontier)
     except ValueError as err:  # frontier/mode mismatch, oversized space
         raise SystemExit(str(err)) from err
-    print(f"  {partial.describe()}", file=out)
     if not partial.complete:
-        exact = partial.total is not None and partial.explored >= partial.total
-        suffix = "" if exact else " (so far)"
-        for key, value in (partial.stats or {}).items():
-            print(f"  {key}{suffix}: {value}", file=out)
-        if partial.frontier is not None and resume_dir:
-            save_frontier(resume_dir, partial)
-            print(
-                f"  frontier saved — rerun with --resume {resume_dir} "
-                f"to continue",
-                file=out,
-            )
-        elif partial.frontier is not None:
-            print(
-                "  (pass --resume DIR to checkpoint the frontier for later)",
-                file=out,
-            )
-        return 3
+        return _truncated(partial, resume_dir, out)
+    print(f"  {partial.describe()}", file=out)
     if args.mode == "parallel":
         ps = partial.value
         for key, value in ps.summary().items():
@@ -825,7 +832,6 @@ def _cmd_phase_space(args: argparse.Namespace, out) -> int:
 def _census_attractor(args: argparse.Namespace, out) -> int:
     """Attractor-direct census: exact counts with no materialized space."""
     from repro.analysis.census import build_attractor_census
-    from repro.harness.checkpoint import load_frontier, save_frontier
     from repro.perf.base import MAX_ATTRACTOR_N
 
     if args.n is not None:
@@ -842,15 +848,7 @@ def _census_attractor(args: argparse.Namespace, out) -> int:
     resume_dir = getattr(args, "resume", None)
     if resume_dir and len(sizes) != 1:
         raise SystemExit("census --resume needs a single size (--n N)")
-    frontier = None
-    if resume_dir:
-        frontier = load_frontier(resume_dir)
-        if frontier is not None:
-            print(
-                f"resuming from {resume_dir} "
-                f"(previously scanned {frontier.get('next_lo', 0)} codes)",
-                file=out,
-            )
+    frontier = _load_resume(resume_dir, out)
     print(f"{'n':>3} {'configs':>12} {'reps':>10} {'FPs':>8} "
           f"{'CCs':>5} {'2CCs':>5} {'maxLen':>6}  quotient", file=out)
     for n in sizes:
@@ -864,23 +862,7 @@ def _census_attractor(args: argparse.Namespace, out) -> int:
         partial = build_attractor_census(ca, frontier=frontier)
         frontier = None
         if not partial.complete:
-            print(f"  {partial.describe()}", file=out)
-            for key, value in (partial.stats or {}).items():
-                print(f"  {key} (so far): {value}", file=out)
-            if partial.frontier is not None and resume_dir:
-                save_frontier(resume_dir, partial)
-                print(
-                    f"  frontier saved — rerun with --resume {resume_dir} "
-                    f"to continue",
-                    file=out,
-                )
-            elif partial.frontier is not None:
-                print(
-                    "  (pass --resume DIR to checkpoint the frontier "
-                    "for later)",
-                    file=out,
-                )
-            return 3
+            return _truncated(partial, resume_dir, out)
         r = partial.value
         print(
             f"{r.n:>3} {r.configurations:>12} {r.orbit_reps:>10} "
@@ -932,7 +914,6 @@ def _cmd_census(args: argparse.Namespace, out) -> int:
 def _cmd_mc(args: argparse.Namespace, out) -> int:
     """Streaming Monte-Carlo estimation over a seeded sample stream."""
     from repro.contracts.dialects import McContract
-    from repro.harness.checkpoint import load_frontier, save_frontier
     from repro.mc import McKernel, build_mc_estimate, write_mc_artifact
 
     if args.n < 2 * args.radius + 1:
@@ -973,15 +954,7 @@ def _cmd_mc(args: argparse.Namespace, out) -> int:
             **kernel_kwargs,
         )
     resume_dir = getattr(args, "resume", None)
-    frontier = None
-    if resume_dir:
-        frontier = load_frontier(resume_dir)
-        if frontier is not None:
-            print(
-                f"resuming from {resume_dir} "
-                f"(previously sampled {frontier.get('next_lo', 0)} configs)",
-                file=out,
-            )
+    frontier = _load_resume(resume_dir, out)
     print(kernel.describe(), file=out)
     try:
         partial = build_mc_estimate(
@@ -990,22 +963,7 @@ def _cmd_mc(args: argparse.Namespace, out) -> int:
     except ValueError as err:  # frontier/run mismatch
         raise SystemExit(str(err)) from err
     if not partial.complete:
-        print(f"  {partial.describe()}", file=out)
-        for key, value in (partial.stats or {}).items():
-            print(f"  {key}: {value}", file=out)
-        if partial.frontier is not None and resume_dir:
-            save_frontier(resume_dir, partial)
-            print(
-                f"  frontier saved — rerun with --resume {resume_dir} "
-                f"to continue",
-                file=out,
-            )
-        elif partial.frontier is not None:
-            print(
-                "  (pass --resume DIR to checkpoint the frontier for later)",
-                file=out,
-            )
-        return 3
+        return _truncated(partial, resume_dir, out)
     payload = partial.value
     est = payload["estimates"]
     print(

@@ -174,57 +174,47 @@ def save_frontier(directory: str | os.PathLike[str], partial) -> Path:
         raise ValueError("partial result has no frontier to save")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    if "succ" not in frontier:
-        # Array-less frontier (attractor census, mc): the counts vector
-        # rides in the JSON itself, so the whole checkpoint is one durable
-        # metadata write — no memmap, no torn-array stamp to validate.
-        meta = dict(frontier)
-        meta["schema"] = FRONTIER_SCHEMA
-        meta["explored"] = int(partial.explored)
-        meta["reason"] = partial.reason
-        meta["stats"] = partial.stats
-        meta["saved_ts"] = time.time()
-        return durable.durable_write_json(
-            directory / FRONTIER_NAME, meta, site="checkpoint.frontier"
-        )
-    succ = frontier["succ"]
-    array_path = directory / FRONTIER_ARRAY_NAME
-    in_place = isinstance(succ, np.memmap) and succ.filename is not None and (
-        Path(succ.filename).resolve() == array_path.resolve()
-    )
-    if frontier.get("kind") == "nondet":
-        rows = int(frontier["next_row"])
-    else:
-        rows = int(frontier["next_lo"])
-    if in_place:
-        succ.flush()
-        prefix_crc = durable.crc32_of_array_prefix(succ, rows)
-    else:
-        mm = np.lib.format.open_memmap(
-            array_path, mode="w+", dtype=np.int64, shape=succ.shape
-        )
-        mm[:rows] = succ[:rows]
-        mm.flush()
-        prefix_crc = durable.crc32_of_array_prefix(mm, rows)
-        del mm
-    faults.inject("checkpoint.frontier_array")
-
     meta = {k: v for k, v in frontier.items() if k != "succ"}
     meta["schema"] = FRONTIER_SCHEMA
     meta["explored"] = int(partial.explored)
     meta["reason"] = partial.reason
     meta["stats"] = partial.stats
     meta["saved_ts"] = time.time()
-    # Torn-write stamp for the memmap: written *after* the array is
-    # flushed, so the metadata can never describe bytes that are not on
-    # disk; a crash between the two leaves old metadata whose checksum
-    # disagrees with the new array, and load_frontier falls back to
-    # re-enumeration instead of silently resuming from garbage.
-    meta["array"] = {
-        "crc32": prefix_crc,
-        "rows": rows,
-        "nbytes": os.path.getsize(array_path),
-    }
+    if "succ" in frontier:
+        # Counts-kernel frontiers carry their counts vector inline, so
+        # their whole checkpoint is the one metadata write below.  A
+        # successor array goes to the memmap first, and its torn-write
+        # stamp rides in the metadata written *after* the flush: the
+        # metadata can never describe bytes that are not on disk, and a
+        # crash between the two leaves old metadata whose checksum
+        # disagrees with the new array, so load_frontier falls back to
+        # re-enumeration instead of silently resuming from garbage.
+        succ = frontier["succ"]
+        array_path = directory / FRONTIER_ARRAY_NAME
+        in_place = isinstance(succ, np.memmap) and succ.filename is not None and (
+            Path(succ.filename).resolve() == array_path.resolve()
+        )
+        if frontier.get("kind") == "nondet":
+            rows = int(frontier["next_row"])
+        else:
+            rows = int(frontier["next_lo"])
+        if in_place:
+            succ.flush()
+            prefix_crc = durable.crc32_of_array_prefix(succ, rows)
+        else:
+            mm = np.lib.format.open_memmap(
+                array_path, mode="w+", dtype=np.int64, shape=succ.shape
+            )
+            mm[:rows] = succ[:rows]
+            mm.flush()
+            prefix_crc = durable.crc32_of_array_prefix(mm, rows)
+            del mm
+        faults.inject("checkpoint.frontier_array")
+        meta["array"] = {
+            "crc32": prefix_crc,
+            "rows": rows,
+            "nbytes": os.path.getsize(array_path),
+        }
     return durable.durable_write_json(
         directory / FRONTIER_NAME, meta, site="checkpoint.frontier"
     )
@@ -252,8 +242,9 @@ def load_frontier(directory: str | os.PathLike[str]) -> dict | None:
     except (OSError, json.JSONDecodeError):
         # Missing, or a torn first write that never reached os.replace.
         return None
-    if meta.get("kind") in ("attractor_census", "mc"):
-        # Array-less frontier: the metadata is the whole checkpoint.
+    if "counts" in meta:
+        # Array-less counts-kernel frontier: the metadata is the whole
+        # checkpoint.
         return meta
     array_path = directory / FRONTIER_ARRAY_NAME
     try:

@@ -1,31 +1,30 @@
 """Governed streaming Monte-Carlo estimation.
 
-:func:`build_mc_estimate` mirrors the attractor census driver shape —
-the same ``Partial`` honesty contract, pure-JSON frontier, budget-trip /
-``--resume`` semantics, ``process``-shard path, and fault-injection
-point — but over a *sample* range instead of a code range: samples
-``[lo, hi)`` of the deterministic seeded stream, always in whole
-lane-aligned batches, so counts of disjoint ranges merge exactly and
-serial / sharded / resumed runs are byte-identical.
+:func:`build_mc_estimate` runs an :class:`~repro.mc.kernel.McKernel`
+through the counts-kernel driver the attractor census uses
+(:func:`repro.perf.counts.run_governed`) — the same ``Partial`` honesty
+contract, pure-JSON frontier, budget-trip / ``--resume`` semantics and
+``process``-shard path — but over a *sample* range instead of a code
+range: samples ``[lo, hi)`` of the deterministic seeded stream, always in
+whole lane-aligned batches, so counts of disjoint ranges merge exactly
+and serial / sharded / resumed runs are byte-identical.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
 
-import numpy as np
-
 from repro.core.budget import Budget, Partial, resolve_budget
 from repro.core.durable import durable_write_json, register_write_site
 from repro.obs import inc, set_gauge, span
+from repro.perf.counts import run_governed
 
 from repro.mc.estimators import (
     IDX,
     K_MC_COUNTS,
     MC_COUNT_FIELDS,
     mc_estimates,
-    merge_mc_counts,
-    zero_mc_counts,
+    merge_mc_counts,  # noqa: F401 - re-exported; McKernel.merge folds with it
 )
 from repro.mc.kernel import McKernel
 
@@ -37,9 +36,6 @@ __all__ = [
 ]
 
 MC_SCHEMA = "repro-mc/1"
-
-#: batches folded per governed chunk (budget-trip / cancel granularity)
-_CHUNK_BATCHES = 4
 
 register_write_site(
     "mc.artifact", "streaming Monte-Carlo estimate artifact (mc.json)"
@@ -69,67 +65,39 @@ def build_mc_estimate(
     kernel's serial loop — the kernel is already 64-way SWAR-parallel,
     so serial is the default even on multicore hosts.
     """
-    from repro.harness import faults
-
     budget = resolve_budget(budget)
-    samples = round_samples(samples, kernel.lanes)
-    total = samples
-    counts = zero_mc_counts()
-    start = 0
-    if frontier is not None:
-        if (
-            frontier.get("kind") != "mc"
-            or int(frontier.get("n", -1)) != kernel.n
-        ):
-            raise ValueError(
-                f"frontier is not an mc frontier for n={kernel.n}: "
-                f"{ {k: frontier[k] for k in ('kind', 'n') if k in frontier} }"
-            )
-        if int(frontier.get("total", -1)) != total:
-            raise ValueError(
-                f"mc frontier covers {frontier.get('total')} samples, "
-                f"resumed run wants {total}"
-            )
-        start = int(frontier["next_lo"])
-        prior = np.asarray(frontier.get("counts", []), dtype=np.int64)
-        if prior.size != K_MC_COUNTS:
-            raise ValueError(
-                f"mc frontier has {prior.size} count slots, "
-                f"expected {K_MC_COUNTS}"
-            )
-        counts[:] = prior
-    if start % kernel.lanes:
-        raise ValueError(
-            f"mc frontier resume point {start} is not "
-            f"{kernel.lanes}-lane aligned"
-        )
-    # Disable the energy stream when no threshold form exists or the
-    # exact integer power sums could overflow their int64 slots.
+    total = round_samples(samples, kernel.lanes)
+    # The energy stream needs a threshold form, and exact integer power
+    # sums that cannot overflow their int64 slots at this sample count.
+    # Decided per call, so one oversized request never sticks to the kernel.
     bound = kernel.energy2_bound()
-    if bound is None or total * (2 * bound) ** 2 >= 1 << 62:
-        kernel.energy_enabled = False
-    transient = kernel.transient_bytes()
-    step = kernel.lanes * _CHUNK_BATCHES
+    kernel.energy_enabled = bound is not None and total * (2 * bound) ** 2 < 1 << 62
 
-    def _frontier(next_lo: int) -> dict[str, object]:
-        return {
-            "kind": "mc",
-            "n": kernel.n,
-            "automaton": kernel.describe(),
-            "total": total,
-            "next_lo": next_lo,
-            "counts": [int(v) for v in counts],
-        }
-
-    def _stats() -> dict[str, int]:
-        return {
-            "samples_so_far": int(counts[IDX["samples"]]),
-            "fixed_point_so_far": int(counts[IDX["fixed_point"]]),
-            "two_cycle_so_far": int(counts[IDX["two_cycle"]]),
-        }
-
-    def _payload() -> dict[str, object]:
-        return {
+    with span(
+        "mc.estimate",
+        n=kernel.n,
+        samples=total,
+        family=kernel.family,
+        schedule=kernel.schedule,
+        budget=budget.describe(),
+    ) as mc_span:
+        partial = run_governed(kernel, total, budget, frontier, backend)
+        if not partial.complete:
+            mc_span.set(truncated=partial.reason, explored=partial.explored)
+            return partial
+        counts = partial.value
+        fixed_point = int(counts[IDX["fixed_point"]])
+        two_cycle = int(counts[IDX["two_cycle"]])
+        inc("mc.runs")
+        inc("mc.samples", int(counts[IDX["samples"]]) - _prior_samples(frontier))
+        set_gauge("mc.fixed_point_rate", fixed_point / total)
+        set_gauge("mc.two_cycle_rate", two_cycle / total)
+        mc_span.set(
+            fixed_point=fixed_point,
+            two_cycle=two_cycle,
+            undecided=total - fixed_point - two_cycle,
+        )
+        payload = {
             "schema": MC_SCHEMA,
             "n": kernel.n,
             "samples": total,
@@ -148,73 +116,7 @@ def build_mc_estimate(
                 counts, energy_enabled=kernel.energy_enabled
             ),
         }
-
-    with span(
-        "mc.estimate",
-        n=kernel.n,
-        samples=total,
-        family=kernel.family,
-        schedule=kernel.schedule,
-        budget=budget.describe(),
-    ) as mc_span:
-        if backend is not None and backend.is_sharded:
-            kernel.sweep_total = total
-            next_lo, reason = backend.governed_sweep(
-                counts,
-                budget,
-                start=start,
-                per_state=0,
-                mode="mc",
-                kernel=kernel,
-            )
-            if reason is not None:
-                mc_span.set(truncated=reason, explored=next_lo)
-                return Partial.truncated(
-                    reason,
-                    explored=next_lo,
-                    total=total,
-                    stats=_stats(),
-                    frontier=_frontier(next_lo),
-                )
-        else:
-            lo = start
-            while lo < total:
-                hi = min(lo + step, total)
-                reason = budget.over(
-                    pending_bytes=transient, pending_states=hi - lo
-                )
-                if reason is not None:
-                    mc_span.set(truncated=reason, explored=lo)
-                    return Partial.truncated(
-                        reason,
-                        explored=lo,
-                        total=total,
-                        stats=_stats(),
-                        frontier=_frontier(lo),
-                    )
-                faults.inject("mc.chunk")
-                merge_mc_counts(counts, kernel.census_range(lo, hi))
-                budget.charge(states=hi - lo, bytes_=0)
-                lo = hi
-        decided = int(counts[IDX["fixed_point"]]) + int(counts[IDX["two_cycle"]])
-        inc("mc.runs")
-        inc("mc.samples", int(counts[IDX["samples"]]) - _prior_samples(frontier))
-        set_gauge(
-            "mc.fixed_point_rate",
-            int(counts[IDX["fixed_point"]]) / total if total else 0.0,
-        )
-        set_gauge(
-            "mc.two_cycle_rate",
-            int(counts[IDX["two_cycle"]]) / total if total else 0.0,
-        )
-        mc_span.set(
-            fixed_point=int(counts[IDX["fixed_point"]]),
-            two_cycle=int(counts[IDX["two_cycle"]]),
-            undecided=total - decided,
-        )
-        return Partial.done(
-            _payload(), explored=total, total=total, stats=_stats()
-        )
+        return Partial.done(payload, explored=total, total=total, stats=partial.stats)
 
 
 def _prior_samples(frontier) -> int:

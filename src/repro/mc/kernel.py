@@ -14,10 +14,10 @@ classification needs only two trailing states — lane masks
 (2-cycle, entered at ``t - 1``).  Lanes still live at the step horizon
 are counted ``undecided``, never guessed.
 
-The kernel also speaks the ``process`` shard protocol (``counts_slots``
-/ ``census_range`` / ``merge`` / ...), so governed sharded runs reuse
-the supervised worker layer unchanged: a shard is just a lane-aligned
-slice of the deterministic sample stream.
+The kernel is a counts kernel (:mod:`repro.perf.counts`), so governed,
+resumable and ``process``-sharded runs share the attractor census's
+driver: a chunk or shard is just a lane-aligned slice of the
+deterministic sample stream.
 """
 
 from __future__ import annotations
@@ -28,7 +28,13 @@ import numpy as np
 
 from repro.core.rules import MajorityRule, SimpleThresholdRule, TableRule
 from repro.mc import sampler
-from repro.mc.estimators import IDX, zero_mc_counts, merge_mc_counts
+from repro.mc.estimators import (
+    IDX,
+    K_MC_COUNTS,
+    MC_COUNT_FIELDS,
+    merge_mc_counts,
+    zero_mc_counts,
+)
 from repro.perf.base import BackendUnsupported
 from repro.perf.bitplane import eval_bit_kernel, lower_bit_kernel
 from repro.spaces.line import Ring
@@ -38,6 +44,9 @@ __all__ = ["McKernel", "MC_TILE_WORDS", "count_threshold"]
 #: uint64 words per node tile of the synchronous step (~256 KiB per
 #: input plane), the cache-sizing knob for huge rings
 MC_TILE_WORDS = 1 << 15
+
+#: batches folded per governed chunk (budget-trip / cancel granularity)
+_CHUNK_BATCHES = 4
 
 _ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
 
@@ -142,15 +151,18 @@ class McKernel:
         if self.horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {self.horizon}")
         self.theta = count_threshold(rule, self.width)
-        #: flipped off by the engine when theta is unknown or the integer
-        #: power sums could overflow int64 at the requested sample count
+        #: set per run by the engine: off when theta is unknown or the
+        #: integer power sums could overflow int64 at the run's sample count
         self.energy_enabled = self.theta is not None
-        # -- process-shard protocol ------------------------------------------
-        self.counts_slots = len(zero_mc_counts())
+        # -- counts-kernel protocol (repro.perf.counts) ----------------------
+        self.chunk = self.lanes * _CHUNK_BATCHES
         self.shard_align = self.lanes
-        self.poll_chunk = self.lanes
-        self.sweep_total = 0  # set by the engine (rounded sample count)
+
+    counts_slots = K_MC_COUNTS
+    count_fields = MC_COUNT_FIELDS
+    progress_fields = ("samples", "fixed_point", "two_cycle")
     merge = staticmethod(merge_mc_counts)
+    shards_per_worker = 4
 
     # -- construction from an automaton (qa / tests) -------------------------
 
@@ -188,6 +200,9 @@ class McKernel:
             f"mc[{self.rule.name} on Ring(n={self.n}, radius={self.radius}), "
             f"{mem}, {self.schedule}]"
         )
+
+    def frontier_key(self) -> tuple[str, int, str]:
+        return "mc", self.n, self.describe()
 
     # -- stepping -------------------------------------------------------------
 
@@ -336,7 +351,7 @@ class McKernel:
             counts[IDX["energy_sum2"]] += int(drop.sum())
             counts[IDX["energy_sumsq4"]] += int((drop * drop).sum())
 
-    # -- shard protocol --------------------------------------------------------
+    # -- counts-kernel protocol ------------------------------------------------
 
     def census_range(self, lo: int, hi: int) -> np.ndarray:
         """Counts over the lane-aligned sample range ``[lo, hi)``."""

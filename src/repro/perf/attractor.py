@@ -24,7 +24,7 @@ import sys
 
 import numpy as np
 
-from repro.perf.base import MAX_ATTRACTOR_N, BackendUnsupported
+from repro.perf.base import CHUNK, MAX_ATTRACTOR_N, BackendUnsupported
 from repro.perf.bitplane import eval_bit_kernel, lower_bit_kernel
 
 __all__ = [
@@ -41,11 +41,13 @@ __all__ = [
 #: n * LANES/64 words each — a few MB at n=32, far under any budget)
 LANES = 1 << 18
 
-#: code-range chunk of attractor census loops (serial governed chunks and
+#: code-range chunk of big attractor censuses (serial governed chunks and
 #: worker cancel-poll granularity).  Wide enough that representative
 #: batches fill whole lane blocks — at 2**22 codes a dihedral quotient
 #: yields ~2**22/2n representatives per chunk — instead of the sweeps'
 #: much finer CHUNK, whose per-call overhead would dominate Brent batches.
+#: Spaces of at most this many codes keep CHUNK (honest budget-trip
+#: granularity).
 ATTRACTOR_CHUNK = 1 << 22
 
 #: representative-enumeration sub-range (bounds the arange + filter scratch)
@@ -98,10 +100,20 @@ class AttractorKernel:
 
     Bound to one automaton (whose per-node rules must lower to bitwise
     kernels) and one :class:`~repro.analysis.quotient.QuotientSpec`.  The
-    public census entry point is :meth:`census_range`; :meth:`classify`
+    public census entry point is :meth:`census_range`, driven through the
+    counts-kernel protocol of :mod:`repro.perf.counts`; :meth:`classify`
     exposes the raw per-lane ``(cycle length, on-cycle)`` classification
     for tests and exploratory use.
     """
+
+    counts_slots = K_COUNTS
+    count_fields = COUNT_FIELDS
+    progress_fields = ("orbit_reps", "fixed_points")
+    merge = staticmethod(merge_counts)
+    shard_align = CHUNK
+    #: pure compute with a fixed-size result: slice finer than successor
+    #: sweeps for load balance and short shard leases even at n=32
+    shards_per_worker = 16
 
     def __init__(self, ca, quotient=None, lanes: int = LANES):
         reason = self.supports(ca)
@@ -121,6 +133,7 @@ class AttractorKernel:
         self.n = ca.n
         self.quotient = quotient
         self.lanes = max(64, lanes)
+        self.chunk = CHUNK if 1 << self.n <= ATTRACTOR_CHUNK else ATTRACTOR_CHUNK
         kernels: dict[tuple[int, int], tuple] = {}
         self._kernels: list[tuple] = []
         self._windows: list[np.ndarray] = []
@@ -164,6 +177,9 @@ class AttractorKernel:
 
     def describe(self) -> str:
         return f"attractor[{self.quotient.describe()}]"
+
+    def frontier_key(self) -> tuple[str, int, str]:
+        return "attractor_census", self.n, self.ca.describe()
 
     # -- trajectory planes -----------------------------------------------------
 

@@ -135,12 +135,12 @@ def _worker_main(wid, inner, task_q, result_q, cancel, kernel=None) -> None:
 
     ``inner`` is the parent's fully constructed serial backend, inherited
     by fork (rules never cross a pickle boundary); ``kernel`` is the
-    attractor or Monte-Carlo kernel for ``mode == "attractor"`` /
-    ``"mc"`` shards, inherited the same way.  Kernel exceptions are caught and shipped as structured
-    ``error`` results — a worker only dies from the outside (SIGKILL,
-    OOM) or from a ``worker-crash`` fault.  Metrics are flushed alongside
-    every shard completion, so an abnormal death loses at most the
-    in-flight shard's increments.
+    counts kernel (:mod:`repro.perf.counts`) of ``mode == "counts"``
+    shards, inherited the same way.  Kernel exceptions are caught and
+    shipped as structured ``error`` results — a worker only dies from the
+    outside (SIGKILL, OOM) or from a ``worker-crash`` fault.  Metrics are
+    flushed alongside every shard completion, so an abnormal death loses
+    at most the in-flight shard's increments.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     # The forked registry starts as a copy of the parent's counts; reset so
@@ -161,57 +161,32 @@ def _worker_main(wid, inner, task_q, result_q, cancel, kernel=None) -> None:
             shm = shared_memory.SharedMemory(name=shm_name)
             try:
                 ok = True
-                if mode == "attractor":
-                    from repro.perf.attractor import (
-                        ATTRACTOR_CHUNK,
-                        K_COUNTS,
-                        merge_counts,
+                if mode == "counts":
+                    out = np.ndarray(
+                        kernel.counts_slots, dtype=np.int64, buffer=shm.buf
                     )
-
-                    out = np.ndarray(K_COUNTS, dtype=np.int64, buffer=shm.buf)
                     # A re-dispatched shard reuses its original buffer:
                     # zero it so a dead worker's partial fold never
                     # double-counts.
                     out[:] = 0
-                    for clo in range(lo, hi, ATTRACTOR_CHUNK):
-                        if cancel.is_set():
-                            ok = False
-                            break
-                        faults.inject(f"perf.worker.w{wid}.chunk")
-                        chi = min(clo + ATTRACTOR_CHUNK, hi)
-                        merge_counts(out, kernel.census_range(clo, chi))
-                elif mode == "mc":
-                    # Monte-Carlo shards speak the same counts-vector
-                    # protocol as attractor shards, with the kernel
-                    # supplying its own slot count, merge, and batch-
-                    # aligned cancel-poll granularity.
-                    out = np.ndarray(
-                        kernel.counts_slots, dtype=np.int64, buffer=shm.buf
-                    )
-                    out[:] = 0
-                    for clo in range(lo, hi, kernel.poll_chunk):
-                        if cancel.is_set():
-                            ok = False
-                            break
-                        faults.inject(f"perf.worker.w{wid}.chunk")
-                        chi = min(clo + kernel.poll_chunk, hi)
-                        kernel.merge(out, kernel.census_range(clo, chi))
+                    chunk = kernel.chunk
                 else:
                     out = np.ndarray(hi - lo, dtype=np.int64, buffer=shm.buf)
-                    for clo in range(lo, hi, CHUNK):
-                        if cancel.is_set():
-                            ok = False
-                            break
-                        faults.inject(f"perf.worker.w{wid}.chunk")
-                        chi = min(clo + CHUNK, hi)
-                        if mode == "step":
-                            out[clo - lo : chi - lo] = inner.step_all_range(
-                                clo, chi
-                            )
-                        else:
-                            out[clo - lo : chi - lo] = (
-                                inner.node_successors_range(node, clo, chi)
-                            )
+                    chunk = CHUNK
+                for clo in range(lo, hi, chunk):
+                    if cancel.is_set():
+                        ok = False
+                        break
+                    faults.inject(f"perf.worker.w{wid}.chunk")
+                    chi = min(clo + chunk, hi)
+                    if mode == "counts":
+                        kernel.merge(out, kernel.census_range(clo, chi))
+                    elif mode == "step":
+                        out[clo - lo : chi - lo] = inner.step_all_range(clo, chi)
+                    else:
+                        out[clo - lo : chi - lo] = inner.node_successors_range(
+                            node, clo, chi
+                        )
                 del out
             finally:
                 shm.close()
@@ -332,6 +307,7 @@ class ProcessBackend(SweepBackend):
         node: int | None = None,
         on_prefix=None,
         kernel=None,
+        total: int | None = None,
     ) -> tuple[int, str | None]:
         """Fill ``out[start:]`` by sharding across the supervised pool.
 
@@ -341,55 +317,37 @@ class ProcessBackend(SweepBackend):
         point.  ``on_prefix(lo, hi)`` fires in order as the prefix grows
         (the phase-space builder streams fixed-point counts through it).
 
-        ``mode == "attractor"`` shards the whole ``2**n`` code range of
-        ``kernel`` (an :class:`~repro.perf.attractor.AttractorKernel`):
-        ``out`` is then the K-slot counts accumulator, each shard ships a
-        counts vector instead of a successor block, and shards are folded
-        in shard order as the contiguous prefix advances — so ``next_lo``
-        keeps exactly the serial builders' resume semantics.
-        ``mode == "mc"`` does the same over the sample range
-        ``[0, kernel.sweep_total)`` of a Monte-Carlo kernel, with shards
-        aligned to whole sample batches (``kernel.shard_align``).
+        Given a counts ``kernel`` (:mod:`repro.perf.counts`), the sweep
+        shards the range ``[start, total)`` of that kernel instead: ``out``
+        is then its counts accumulator, each shard ships a counts vector
+        instead of a successor block, shards follow the kernel's
+        ``shard_align`` / ``shards_per_worker``, and counts fold in shard
+        order as the contiguous prefix advances — so ``next_lo`` keeps
+        exactly the serial driver's resume semantics.  Shard admission
+        projects each shard's own states as well, so a states cap trips
+        at the same code the serial chunk loop trips at.
 
         Raises :class:`~repro.perf.supervise.ShardFailed` only when a
         poison shard *also* fails the serial inline fallback.
         """
-        # "Direct" modes (attractor, mc) reduce each shard to a fixed-size
-        # counts vector instead of a successor block; the kernel supplies
-        # the slot count, the merge, and (for mc) the shard alignment.
-        attractor = mode == "attractor"
-        direct = attractor or mode == "mc"
-        align = CHUNK
-        if attractor:
-            from repro.perf.attractor import K_COUNTS, merge_counts
-
-            k_slots, k_merge = K_COUNTS, merge_counts
-            total = 1 << self.ca.n
-        elif mode == "mc":
-            k_slots, k_merge = kernel.counts_slots, kernel.merge
-            align = kernel.shard_align
-            total = int(kernel.sweep_total)
+        counts = kernel is not None
+        if counts:
+            mode = "counts"
+            align, parts = kernel.shard_align, kernel.shards_per_worker
+            transient = self.workers * kernel.transient_bytes()
         else:
+            align, parts = CHUNK, 4
             total = int(out.size)
+            transient = self._inner.transient_bytes()
         if start >= total:
             return total, None
-        # Attractor shards are pure compute with a fixed-size result, so
-        # slice finer: better load balance and a fraction of the lease
-        # deadline per shard even at the n=32 scale.
         shard_len = self._shard_len(
-            total - start,
-            parts_per_worker=16 if attractor else 4,
-            align=align,
+            total - start, parts_per_worker=parts, align=align
         )
         shards = [
             (lo, min(lo + shard_len, total))
             for lo in range(start, total, shard_len)
         ]
-        transient = (
-            self.workers * kernel.transient_bytes()
-            if direct
-            else self._inner.transient_bytes()
-        )
         #: per-shard counts vectors not yet folded into the prefix
         shard_counts: dict[int, np.ndarray] = {}
 
@@ -455,14 +413,28 @@ class ProcessBackend(SweepBackend):
                     lo, hi = shards[next_merge]
                     budget.charge(states=hi - lo, bytes_=per_state * (hi - lo))
                     uncharged -= hi - lo
-                    if direct:
+                    if counts:
                         # Fold counts only as the charged prefix advances,
                         # so a truncated accumulator matches what a serial
                         # resume from ``next_lo`` would rebuild exactly.
-                        k_merge(out, shard_counts.pop(next_merge))
+                        kernel.merge(out, shard_counts.pop(next_merge))
                     if on_prefix is not None:
                         on_prefix(lo, hi)
                     next_merge += 1
+
+            def _admit(lo: int, hi: int) -> str | None:
+                """Budget check before admitting shard ``[lo, hi)``.
+
+                Projects every admitted-but-uncharged shard too, so
+                dispatch-ahead trips at the same accounted footprint the
+                serial chunk loop would (which checks with all prior
+                chunks already charged).  Counts shards also project their
+                own states, as the serial counts loop projects each chunk.
+                """
+                return budget.over(
+                    pending_bytes=transient + per_state * (uncharged + hi - lo),
+                    pending_states=uncharged + (hi - lo if counts else 0),
+                )
 
             def _cleanup_shm(sid: int) -> None:
                 shm = inflight.pop(sid, None)
@@ -484,7 +456,7 @@ class ProcessBackend(SweepBackend):
                 ):
                     try:
                         faults.inject("perf.process.fallback")
-                        if direct:
+                        if counts:
                             shard_counts[sid] = kernel.census_range(lo, hi)
                         elif mode == "step":
                             out[lo:hi] = self._inner.step_all_range(lo, hi)
@@ -607,11 +579,7 @@ class ProcessBackend(SweepBackend):
                             sid = pending[0]
                             lo, hi = shards[sid]
                             if sid not in inflight:
-                                reason = budget.over(
-                                    pending_bytes=transient
-                                    + per_state * (uncharged + hi - lo),
-                                    pending_states=uncharged,
-                                )
+                                reason = _admit(lo, hi)
                                 if reason is not None:
                                     break
                                 uncharged += hi - lo
@@ -628,23 +596,17 @@ class ProcessBackend(SweepBackend):
                         lo, hi = shards[sid]
                         lease = leases[sid]
                         if lease.shm_name is None:
-                            # First dispatch: admit against the budget,
-                            # projecting every admitted-but-uncharged shard
-                            # too, so dispatch-ahead trips at the same
-                            # accounted footprint the serial chunk loop
-                            # would (which checks with all prior chunks
-                            # already charged).  Re-dispatches reuse the
-                            # original admission and buffer.
-                            reason = budget.over(
-                                pending_bytes=transient
-                                + per_state * (uncharged + hi - lo),
-                                pending_states=uncharged,
-                            )
+                            # First dispatch: admit against the budget.
+                            # Re-dispatches reuse the original admission
+                            # and buffer.
+                            reason = _admit(lo, hi)
                             if reason is not None:
                                 break
                             shm = shared_memory.SharedMemory(
                                 create=True,
-                                size=k_slots * 8 if direct else (hi - lo) * 8,
+                                size=8 * (
+                                    kernel.counts_slots if counts else hi - lo
+                                ),
                             )
                             inflight[sid] = shm
                             lease.shm_name = shm.name
@@ -721,10 +683,14 @@ class ProcessBackend(SweepBackend):
                             # and a memmap-backed resume benefits from it;
                             # only prefix shards are *charged* and counted
                             # in the frontier.
-                            if direct:
+                            if counts:
                                 # Copy before the shm segment is unlinked.
                                 shard_counts[sid] = np.array(
-                                    np.ndarray(k_slots, dtype=np.int64, buffer=shm.buf)
+                                    np.ndarray(
+                                        kernel.counts_slots,
+                                        dtype=np.int64,
+                                        buffer=shm.buf,
+                                    )
                                 )
                             else:
                                 out[lo:hi] = np.ndarray(
