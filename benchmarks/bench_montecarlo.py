@@ -4,7 +4,11 @@ The scaling series times one governed estimate per ring size — sampler,
 64-lane SWAR trajectory driver, classification, streaming moments — so
 the committed ``BENCH_montecarlo.json`` median pins the
 sampled-configs/sec trajectory that makes n = 10**6 runs practical
-(compare_bench gates it at the usual 2x tolerance).  Every run asserts
+(compare_bench gates it at the usual 2x tolerance).  The sweep series
+does the same under the sequential schedule, one batch of wavefront-level
+sweeps per case: a seeded random order (a handful of wide levels) at
+n = 10**4 and 10**5, and the identity order (one chain of n one-node
+levels, the slow case) at n = 10**4.  Every run asserts
 its own counts ledger in-loop, and the n = 12 series additionally holds
 the reported 99% interval to the exactly enumerated basin mass — the
 timing claim is also the statistical-correctness claim.
@@ -50,6 +54,35 @@ def test_mc_throughput(benchmark, n):
         # MAJORITY from uniform initial conditions is overwhelmingly
         # fixed-point bound (Proposition 1 leaves only 2-cycles besides).
         assert partial.value["estimates"]["fixed_point"]["rate"] > 0.9
+        return partial.value
+
+    payload = benchmark.pedantic(run, rounds=3, iterations=1)
+    assert payload["n"] == n
+    assert payload["samples"] == payload["lanes"]
+
+
+@pytest.mark.parametrize(
+    "n, order", [(10_000, "random"), (100_000, "random"), (10_000, "identity")]
+)
+def test_mc_sweep_throughput(benchmark, n, order):
+    """One full batch of sequential sweeps in the given update order."""
+    perm = None
+    if order == "random":
+        perm = np.random.default_rng(_SEED).permutation(n)
+
+    def run():
+        kernel = McKernel(
+            MajorityRule(), n, schedule="sweep", perm=perm, seed=_SEED
+        )
+        partial = build_mc_estimate(kernel, kernel.lanes)
+        assert partial.complete, partial.reason
+        counts = partial.value["counts"]
+        assert (
+            counts["fixed_point"] + counts["two_cycle"] + counts["undecided"]
+            == counts["samples"]
+        )
+        # Theorem 1: no fixed update order ever cycles.
+        assert counts["two_cycle"] == 0
         return partial.value
 
     payload = benchmark.pedantic(run, rounds=3, iterations=1)

@@ -859,7 +859,10 @@ def _census_attractor(args: argparse.Namespace, out) -> int:
             backend=args.backend,
             workers=args.workers,
         )
-        partial = build_attractor_census(ca, frontier=frontier)
+        try:
+            partial = build_attractor_census(ca, frontier=frontier)
+        except ValueError as err:  # frontier/run mismatch
+            raise SystemExit(str(err)) from err
         frontier = None
         if not partial.complete:
             return _truncated(partial, resume_dir, out)

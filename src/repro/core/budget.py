@@ -50,6 +50,7 @@ __all__ = [
     "BudgetExceeded",
     "CancelToken",
     "Partial",
+    "check_frontier",
     "ambient_budget",
     "set_ambient",
     "use_budget",
@@ -260,6 +261,21 @@ class Partial(Generic[T]):
             out["stats"] = {k: v for k, v in self.stats.items()}
         out["resumable"] = self.frontier is not None
         return out
+
+
+def check_frontier(frontier: dict, kind: str, n: int, automaton: str) -> None:
+    """Refuse a resume frontier that another kind of run, ring size or
+    automaton saved."""
+    if frontier.get("kind") != kind or int(frontier.get("n", -1)) != n:
+        raise ValueError(
+            f"frontier is not a {kind} frontier for n={n}: "
+            f"{ {k: frontier[k] for k in ('kind', 'n') if k in frontier} }"
+        )
+    saved = frontier.get("automaton")
+    if saved != automaton:
+        raise ValueError(
+            f"frontier was saved by {saved!r}, not by this run's {automaton!r}"
+        )
 
 
 class BudgetExceeded(RuntimeError):

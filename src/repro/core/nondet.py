@@ -35,6 +35,7 @@ from repro.core.budget import (
     Budget,
     BudgetExceeded,
     Partial,
+    check_frontier,
     resolve_budget,
 )
 from repro.obs import span
@@ -325,11 +326,7 @@ def build_nondet_phase_space(
     from repro.harness import faults
 
     if frontier is not None:
-        if frontier.get("kind") != "nondet" or int(frontier.get("n", -1)) != n:
-            raise ValueError(
-                f"frontier is not a nondet frontier for n={n}: "
-                f"{ {k: frontier[k] for k in ('kind', 'n') if k in frontier} }"
-            )
+        check_frontier(frontier, "nondet", n, ca.describe())
         node_succ = frontier["succ"]
         start_row = int(frontier["next_row"])
     else:

@@ -26,6 +26,7 @@ from repro.core.budget import (
     Budget,
     BudgetExceeded,
     Partial,
+    check_frontier,
     resolve_budget,
 )
 from repro.obs import span
@@ -269,11 +270,7 @@ def build_phase_space(
     from repro.harness import faults
 
     if frontier is not None:
-        if frontier.get("kind") != "phase_space" or int(frontier.get("n", -1)) != n:
-            raise ValueError(
-                f"frontier is not a phase-space frontier for n={n}: "
-                f"{ {k: frontier[k] for k in ('kind', 'n') if k in frontier} }"
-            )
+        check_frontier(frontier, "phase_space", n, ca.describe())
         succ = frontier["succ"]
         start = int(frontier["next_lo"])
         fp_count = int(frontier.get("fixed_points_so_far", 0))

@@ -5,7 +5,9 @@ lane carries one *sampled* initial condition instead, and the state is an
 ``(n, lanes // 64)`` bitplane array — node-major, so a synchronous step
 is ``n`` evaluations of the very same lowered bitwise kernel the sweep
 backends compiled (:func:`repro.perf.bitplane.eval_bit_kernel`), chunked
-over node tiles that keep the working set cache-sized even at n=10^6.
+over node tiles that keep the working set cache-sized even at n=10^6.  A
+sequential sweep evaluates the same kernel one wavefront level of its
+update order at a time (:meth:`McKernel._sweep_plan`).
 
 Each batch runs to the paper's dichotomy: Proposition 1 says a parallel
 threshold orbit ends in a fixed point or a 2-cycle, so per-lane
@@ -22,6 +24,7 @@ deterministic sample stream.
 
 from __future__ import annotations
 
+import hashlib
 import sys
 
 import numpy as np
@@ -144,6 +147,7 @@ class McKernel:
             if sorted(perm) != list(range(self.n)):
                 raise ValueError("perm must be a permutation of range(n)")
         self.perm = perm if perm is not None else list(range(self.n))
+        self._plan = self._sweep_plan() if schedule == "sweep" else None
         # Sequential sweeps converge within n(ish) sweeps (Theorem 1's flip
         # bound); parallel transients are O(n) too — 4n + 64 is a generous
         # default horizon with slack for tiny rings.
@@ -202,7 +206,22 @@ class McKernel:
         )
 
     def frontier_key(self) -> tuple[str, int, str]:
-        return "mc", self.n, self.describe()
+        """``describe()`` plus everything that fixes the sample stream.
+
+        A frontier's counts resume only the run with the same automaton,
+        schedule (and, for sweeps, the same order), sampler, lane width
+        and horizon.
+        """
+        key = f"{self.describe()} seed={self.seed} family={self.family}"
+        if self.family == "density":
+            key += f"(density={self.density!r})"
+        elif self.family == "perturb":
+            key += f"(flips={self.flips})"
+        key += f" lanes={self.lanes} horizon={self.horizon}"
+        if self.schedule == "sweep":
+            perm = np.asarray(self.perm, dtype=np.int64).tobytes()
+            key += f" perm={hashlib.sha256(perm).hexdigest()[:16]}"
+        return "mc", self.n, key
 
     # -- stepping -------------------------------------------------------------
 
@@ -225,17 +244,63 @@ class McKernel:
             )
         return out
 
-    def _step_sweep(self, planes: np.ndarray) -> np.ndarray:
-        """One left-to-right sweep in ``perm`` order, all lanes at once.
+    def _sweep_plan(self) -> tuple[np.ndarray, np.ndarray]:
+        """Compile ``perm`` into wavefront levels: ``(nodes, starts)``.
 
-        Node ``i`` reads the *current* (partially updated) plane — the
-        fixed-permutation sequential semantics of the paper's SCA.
+        A sweep depends on its order only through the acyclic orientation
+        the order induces on the ring (Macauley-McCammond).  Node ``i``'s
+        level is its longest-path depth in that orientation: ``1 +`` the
+        highest level among the ring neighbours ``perm`` updates before
+        it, or ``0`` when there are none.  Nodes within distance ``r``
+        always get different levels, so a node reads only lower levels
+        (already updated) and higher ones (not yet) — exactly what the
+        one-node-at-a-time sweep reads.  ``nodes`` lists the nodes by
+        level, and level ``k`` is ``nodes[starts[k]:starts[k + 1]]``.
         """
-        n = self.n
-        out = planes.copy()
+        n, r = self.n, self.radius
+        # Neighbour i + d as a negative index where it wraps past either end.
+        shifts = [d if d < 0 else d - n for d in range(-r, r + 1) if d]
+        level = [-1] * n  # -1 until updated, so later nodes never count
         for i in self.perm:
-            inputs = [out[(i + d) % n] for d in self.offsets]
-            out[i] = eval_bit_kernel(self._kern, inputs, self.nwords)
+            top = -1
+            for s in shifts:
+                if level[i + s] > top:
+                    top = level[i + s]
+            level[i] = top + 1
+        levels = np.asarray(level, dtype=np.int64)
+        starts = np.zeros(int(levels.max()) + 2, dtype=np.int64)
+        np.cumsum(np.bincount(levels), out=starts[1:])
+        return np.argsort(levels, kind="stable"), starts
+
+    def _step_sweep(self, planes: np.ndarray) -> np.ndarray:
+        """One sweep in ``perm`` order, all lanes at once, level by level.
+
+        Every node reads the *current* (partially updated) planes — the
+        fixed-permutation sequential semantics of the paper's SCA — and
+        the nodes of one level are independent, so each tile of a level
+        is one gather, one kernel evaluation and one scatter.
+        """
+        nwords, kern = self.nwords, self._kern
+        # Row i + d as a negative index where it wraps, as in the plan.
+        shifts = [d if d <= 0 else d - self.n for d in self.offsets]
+        nodes, starts = self._plan
+        out = planes.copy()
+        tile = max(1, MC_TILE_WORDS // nwords)
+        bounds = starts.tolist()
+        for lo, hi in zip(bounds, bounds[1:]):
+            if hi - lo == 1:
+                # One node (long chains are all such levels): row views, so
+                # it costs what a single-node update does.  A one-row gather
+                # and scatter makes an identity-order sweep ~1.5x slower
+                # (bench_montecarlo's test_mc_sweep_throughput[10000-identity]).
+                i = nodes.item(lo)
+                inputs = [out[i + s] for s in shifts]
+                out[i] = eval_bit_kernel(kern, inputs, nwords)
+                continue
+            for t0 in range(lo, hi, tile):
+                rows = nodes[t0 : min(t0 + tile, hi)]
+                inputs = [out.take(rows + s, axis=0) for s in shifts]
+                out[rows] = eval_bit_kernel(kern, inputs, (rows.size, nwords))
         return out
 
     # -- energy ---------------------------------------------------------------

@@ -18,7 +18,8 @@ such kernel the same way.  The protocol, as plain attributes:
 ``shard_align`` / ``shards_per_worker``
     shard boundaries of the ``process`` backend;
 ``frontier_key()``
-    ``(kind, n, automaton)`` stamped into (and checked against) frontiers;
+    ``(kind, n, automaton)`` stamped into frontiers; a resume must match
+    all three;
 ``census_range(lo, hi)`` / ``transient_bytes()``
     the counts of one range, and its deterministic scratch charge.
 """
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.budget import Budget, Partial
+from repro.core.budget import Budget, Partial, check_frontier
 from repro.harness import faults
 
 __all__ = ["run_governed"]
@@ -35,12 +36,8 @@ __all__ = ["run_governed"]
 
 def _resume_point(kernel, total: int, frontier: dict, counts: np.ndarray) -> int:
     """Validate ``frontier`` against this run; load its counts, return next_lo."""
-    kind, n, _ = kernel.frontier_key()
-    if frontier.get("kind") != kind or int(frontier.get("n", -1)) != n:
-        raise ValueError(
-            f"frontier does not match this {kind} run at n={n}: "
-            f"{ {k: frontier[k] for k in ('kind', 'n') if k in frontier} }"
-        )
+    kind, n, automaton = kernel.frontier_key()
+    check_frontier(frontier, kind, n, automaton)
     if int(frontier.get("total", -1)) != total:
         raise ValueError(
             f"{kind} frontier covers {frontier.get('total')} units, "

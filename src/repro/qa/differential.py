@@ -201,6 +201,7 @@ def check_trip_resume(inst: Instance):
         frontier = {
             "kind": "phase_space",
             "n": n,
+            "automaton": ca_a.describe(),
             "next_lo": lo,
             "fixed_points_so_far": int(np.count_nonzero(succ[:lo] == codes)),
             "succ": succ,

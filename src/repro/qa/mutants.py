@@ -18,6 +18,7 @@ import repro.analysis.quotient as quotient
 import repro.mc.sampler as mc_sampler
 import repro.perf.attractor as attractor
 import repro.perf.bitplane as bitplane
+from repro.mc.kernel import McKernel
 from repro.perf.table import TableBackend
 
 __all__ = ["MUTANTS", "active_mutant"]
@@ -134,6 +135,25 @@ def _mutant_mc_sampler_tail_drop():
     return [(mc_sampler, "sample_planes", sample_planes)]
 
 
+def _mutant_mc_sweep_level_merge():
+    """Sweep plan runs wavefront levels 0 and 1 as one level.
+
+    Every level-1 node has a level-0 neighbour that the order updates
+    first; merged, the two update together and the level-1 node reads
+    its neighbour's stale value.  The parallel step never builds a plan,
+    so only ``differential.mc_step``'s sweep diff (a fixed-permutation
+    case against composed single-node updates) can see it.
+    """
+    original = McKernel._sweep_plan
+
+    def _sweep_plan(self):
+        nodes, starts = original(self)
+        # BUG: the boundary between levels 0 and 1 is dropped.
+        return nodes, np.delete(starts, 1)
+
+    return [(McKernel, "_sweep_plan", _sweep_plan)]
+
+
 #: name -> patch factory returning [(class-or-module, attribute,
 #: replacement), ...]
 MUTANTS = {
@@ -142,6 +162,7 @@ MUTANTS = {
     "bitplane-parity-drop": _mutant_bitplane_parity_drop,
     "quotient-reflection-drop": _mutant_quotient_reflection_drop,
     "mc-sampler-tail-drop": _mutant_mc_sampler_tail_drop,
+    "mc-sweep-level-merge": _mutant_mc_sweep_level_merge,
 }
 
 

@@ -285,6 +285,16 @@ class TestGovernedNondet:
         assert p2.value.summary() == exact.summary()
 
 
+@pytest.mark.parametrize("build", [build_phase_space, build_nondet_phase_space])
+def test_frontier_of_another_automaton_rejected(build):
+    tripped = build(
+        CellularAutomaton(Ring(10), MajorityRule()), budget=Budget(mem_bytes=1024)
+    )
+    assert not tripped.complete
+    with pytest.raises(ValueError, match="frontier was saved by"):
+        build(CellularAutomaton(Ring(10), XorRule()), frontier=tripped.frontier)
+
+
 class TestGovernedDynamics:
     def test_parallel_orbit_raises_with_progress(self):
         ca = CellularAutomaton(Ring(10), XorRule())

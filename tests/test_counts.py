@@ -17,7 +17,7 @@ import pytest
 from repro.analysis.census import build_attractor_census
 from repro.core.automaton import CellularAutomaton
 from repro.core.budget import Budget
-from repro.core.rules import MajorityRule
+from repro.core.rules import MajorityRule, XorRule
 from repro.harness.checkpoint import load_frontier, save_frontier
 from repro.mc import McKernel, build_mc_estimate
 from repro.perf.attractor import AttractorKernel
@@ -73,7 +73,13 @@ def test_trip_save_load_resume_equals_uninterrupted(name, backend, mc_seed, tmp_
 
 @pytest.mark.parametrize(
     "field, value",
-    [("kind", "other"), ("n", 5), ("total", 64), ("counts", [0, 0, 0])],
+    [
+        ("kind", "other"),
+        ("n", 5),
+        ("total", 64),
+        ("counts", [0, 0, 0]),
+        ("automaton", "other"),
+    ],
 )
 @pytest.mark.parametrize("name", KERNELS)
 def test_mismatched_frontier_rejected(name, field, value, mc_seed):
@@ -82,6 +88,34 @@ def test_mismatched_frontier_rejected(name, field, value, mc_seed):
     frontier = dict(tripped.frontier, **{field: value})
     with pytest.raises(ValueError, match="frontier"):
         run_governed(kernel, total, Budget(), frontier=frontier)
+
+
+def _sweep_kernel(**changes) -> McKernel:
+    kwargs = dict(rule=MajorityRule(), n=16, lanes=256, seed=1, schedule="sweep")
+    kwargs.update(changes)
+    return McKernel(**kwargs)
+
+
+#: kernels that differ from ``_sweep_kernel()`` only in what they sample or
+#: how they step, so a frontier of one must not resume another
+OTHER_RUNS = {
+    "parallel": lambda: _sweep_kernel(schedule="parallel"),
+    "seed": lambda: _sweep_kernel(seed=2),
+    "rule": lambda: _sweep_kernel(rule=XorRule()),
+    "order": lambda: _sweep_kernel(perm=range(15, -1, -1)),
+    "family": lambda: _sweep_kernel(family="density", density=0.3),
+    "horizon": lambda: _sweep_kernel(horizon=100),
+}
+
+
+@pytest.mark.parametrize("other", sorted(OTHER_RUNS))
+def test_mc_frontier_of_another_run_rejected(other):
+    tripped = build_mc_estimate(_sweep_kernel(), 2048, budget=Budget(max_states=1536))
+    assert not tripped.complete
+    with pytest.raises(ValueError, match="frontier was saved by"):
+        build_mc_estimate(OTHER_RUNS[other](), 2048, frontier=tripped.frontier)
+    resumed = build_mc_estimate(_sweep_kernel(), 2048, frontier=tripped.frontier)
+    assert resumed.value == build_mc_estimate(_sweep_kernel(), 2048).value
 
 
 def _frontier_json(tmp_path, partial) -> dict:

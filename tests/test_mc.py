@@ -22,7 +22,7 @@ from repro.analysis.statistics import Z95, Z99, StreamingMoments, wilson_interva
 from repro.core.automaton import CellularAutomaton
 from repro.core.budget import Budget
 from repro.core.energy import ThresholdNetwork
-from repro.core.rules import MajorityRule
+from repro.core.rules import MajorityRule, SimpleThresholdRule, WolframRule, XorRule
 from repro.mc import (
     K_MC_COUNTS,
     MC_COUNT_FIELDS,
@@ -36,6 +36,7 @@ from repro.mc import (
     zero_mc_counts,
 )
 from repro.perf.attractor import AttractorKernel
+from repro.perf.bitplane import eval_bit_kernel, lower_bit_kernel
 from repro.spaces.line import Ring
 
 
@@ -90,6 +91,88 @@ class TestExactOracle:
         assert lo <= 1.0 <= hi
         assert est["two_cycle"]["count"] == 0
         assert est["two_cycle"]["ci99"][0] == 0.0
+
+
+# -- sequential sweep: wavefront levels against the per-node loop --------------
+
+
+def _reference_sweep(kernel: McKernel, planes: np.ndarray) -> np.ndarray:
+    """One sweep in ``kernel.perm`` order, one node at a time."""
+    lowered = lower_bit_kernel(kernel.rule, kernel.width)
+    out = planes.copy()
+    for i in kernel.perm:
+        inputs = [out[(i + d) % kernel.n] for d in kernel.offsets]
+        out[i] = eval_bit_kernel(lowered, inputs, kernel.nwords)
+    return out
+
+
+SWEEP_RULES = {
+    "majority": MajorityRule(),
+    "threshold1": SimpleThresholdRule(1),
+    "threshold2": SimpleThresholdRule(2),
+    "xor": XorRule(),
+    "wolfram110": WolframRule(110),
+}
+
+#: (radius, memory, rule); a Wolfram rule is defined on 3-cell windows only
+SWEEP_CASES = [
+    (radius, memory, rule)
+    for radius in (1, 2, 3)
+    for memory in (True, False)
+    for rule in sorted(SWEEP_RULES)
+    if rule != "wolfram110" or (radius, memory) == (1, True)
+]
+
+
+class TestSweepLevels:
+    @pytest.mark.parametrize("radius, memory, rule", SWEEP_CASES)
+    def test_level_sweep_equals_per_node_loop(self, radius, memory, rule, mc_seed):
+        lanes = 128
+        # From n = 2r + 1, where every pair of nodes is adjacent, upward.
+        for n in range(2 * radius + 1, 41):
+            planes = sample_planes("uniform", n, lanes, mc_seed, n * lanes)
+            orders = {
+                "identity": list(range(n)),
+                "reversed": list(range(n))[::-1],
+                "random": np.random.default_rng([mc_seed, n]).permutation(n),
+            }
+            for name, perm in orders.items():
+                kernel = McKernel(
+                    SWEEP_RULES[rule], n, radius, memory,
+                    schedule="sweep", perm=perm, lanes=lanes,
+                )
+                want = _reference_sweep(kernel, planes)
+                assert np.array_equal(kernel.step(planes), want), (n, name)
+
+    @pytest.mark.parametrize("radius", [1, 2])
+    def test_large_ring_sweeps_settle_on_a_parallel_fixed_point(
+        self, radius, mc_seed
+    ):
+        # A configuration no single-node update changes is fixed by the
+        # synchronous map too: an oracle sharing no code with the plan.
+        n, lanes = 10_000, 64
+        perm = np.random.default_rng(mc_seed).permutation(n)
+        sweeper = McKernel(
+            MajorityRule(), n, radius, schedule="sweep", perm=perm, lanes=lanes
+        )
+        planes = sample_planes("uniform", n, lanes, mc_seed, 0)
+        cur = sweeper.step(planes)
+        assert np.array_equal(cur, _reference_sweep(sweeper, planes))
+        for _ in range(sweeper.horizon):  # Theorem 1: sweeps settle
+            nxt = sweeper.step(cur)
+            if np.array_equal(nxt, cur):
+                break
+            cur = nxt
+        else:
+            pytest.fail("sweeps did not settle within the horizon")
+        parallel = McKernel(MajorityRule(), n, radius, lanes=lanes)
+        assert np.array_equal(parallel.step(cur), cur)
+        assert not np.array_equal(cur, planes)
+
+    def test_identity_order_is_one_node_per_level(self):
+        nodes, starts = McKernel(MajorityRule(), 50, schedule="sweep")._plan
+        assert nodes.tolist() == list(range(50))
+        assert starts.tolist() == list(range(51))
 
 
 # -- estimator calibration -----------------------------------------------------
@@ -362,6 +445,17 @@ class TestQaWiring:
         assert violation is not None
         # The oracles must see clean kernels again after the context exits.
         assert run_check(spec, "differential.mc_sampler", ["numpy"]) is None
+
+    def test_sweep_level_merge_mutant_is_caught(self, mc_seed):
+        from repro.qa.differential import run_check
+        from repro.qa.mutants import MUTANTS, active_mutant
+
+        assert "mc-sweep-level-merge" in MUTANTS
+        spec = _mc_spec(mc_seed)
+        with active_mutant("mc-sweep-level-merge"):
+            violation = run_check(spec, "differential.mc_step", ["numpy"])
+        assert violation is not None and violation["path"] == "sweep"
+        assert run_check(spec, "differential.mc_step", ["numpy"]) is None
 
 
 # -- CLI -----------------------------------------------------------------------
