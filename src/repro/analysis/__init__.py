@@ -16,9 +16,6 @@ __all__ = [
     "find_linear_recurrence",
     "survey_all_rules",
     "survey_summary",
-    "canonical_code",
-    "symmetry_classes",
-    "check_translation_equivariance",
     "canonical_form",
     "functional_graphs_isomorphic",
     "phase_spaces_isomorphic",
@@ -40,9 +37,6 @@ _LAZY = {
     "find_linear_recurrence": "repro.analysis.census",
     "survey_all_rules": "repro.analysis.elementary",
     "survey_summary": "repro.analysis.elementary",
-    "canonical_code": "repro.analysis.symmetry",
-    "symmetry_classes": "repro.analysis.symmetry",
-    "check_translation_equivariance": "repro.analysis.symmetry",
     "canonical_form": "repro.analysis.isomorphism",
     "functional_graphs_isomorphic": "repro.analysis.isomorphism",
     "phase_spaces_isomorphic": "repro.analysis.isomorphism",

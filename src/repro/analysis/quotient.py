@@ -1,8 +1,8 @@
 """Dihedral symmetry quotients of configuration and schedule space.
 
-A homogeneous rule on a ring commutes with the ring's symmetry group
-(:mod:`repro.analysis.symmetry`): rotations always, reflections exactly
-when the local rule is mirror-symmetric in its window.  Fixed-point-ness,
+A homogeneous rule on a ring commutes with the ring's symmetry group:
+rotations always, reflections exactly when the local rule is
+mirror-symmetric in its window.  Fixed-point-ness,
 cycle membership and cycle length are therefore *class functions* — they
 agree across a whole orbit — so an exact attractor census only needs one
 representative per orbit, weighted by the orbit size.  That is a ~2n×
@@ -25,12 +25,7 @@ from itertools import permutations
 
 import numpy as np
 
-from repro.util.bitops import (
-    reverse_bits,
-    reverse_bits_array,
-    rotate_bits,
-    rotate_bits_array,
-)
+from repro.util.bitops import reverse_bits_array, rotate_bits_array
 
 __all__ = [
     "QuotientSpec",
@@ -253,14 +248,3 @@ def update_order_reps(
         counts[rep] = counts.get(rep, 0) + 1
     reps = sorted(counts)
     return reps, np.array([counts[r] for r in reps], dtype=np.int64)
-
-
-def _scalar_canonical(code: int, n: int, reflections: bool = True) -> int:
-    """Scalar reference for the vectorized canonical form (test oracle)."""
-    best = code
-    for shift in range(n):
-        r = rotate_bits(code, n, shift)
-        best = min(best, r)
-        if reflections:
-            best = min(best, reverse_bits(r, n))
-    return best

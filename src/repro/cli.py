@@ -107,7 +107,13 @@ from repro.experiments import EXPERIMENTS
 from repro.experiments.registry import get_experiment
 from repro.harness import faults
 from repro.harness.checkpoint import load_frontier, save_frontier
-from repro.perf.base import MAX_SWEEP_N, BackendUnsupported
+from repro.perf import (
+    BACKEND_ENV,
+    BACKEND_NAMES,
+    MAX_SWEEP_N,
+    BackendUnsupported,
+    _check_name,
+)
 from repro.perf.supervise import ShardFailed
 from repro.spaces.base import FiniteSpace
 from repro.spaces.grid import Grid2D
@@ -193,12 +199,10 @@ def _add_space_rule_args(p: argparse.ArgumentParser) -> None:
 
 def _add_backend_args(p: argparse.ArgumentParser) -> None:
     group = p.add_argument_group("sweep engine")
-    group.add_argument("--backend", default=None,
-                       choices=["auto", "bitplane", "table", "numpy",
-                                "process"],
+    group.add_argument("--backend", default=None, choices=BACKEND_NAMES,
                        help="whole-space sweep kernel (default: the "
                             "REPRO_BACKEND env var, then 'auto' — bitplane "
-                            "when the rule lowers to bitwise ops, table "
+                            "when the rule lowers to bitwise ops, numpy "
                             "otherwise, process sharding for large spaces "
                             "on multi-CPU hosts)")
     group.add_argument("--workers", type=int, default=None, metavar="N",
@@ -511,7 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fuzz.add_argument("--backends", default="auto", metavar="LIST",
                         help="comma-separated sweep backends to diff "
                              "(default 'auto': every applicable serial "
-                             "kernel — numpy, table, bitplane — plus "
+                             "kernel — numpy, bitplane — plus "
                              "process sharding on hosts with >= 2 CPUs)")
     p_fuzz.add_argument("--shrink", action=argparse.BooleanOptionalAction,
                         default=True,
@@ -571,6 +575,14 @@ def _validate_args(args: argparse.Namespace) -> None:
             default_workers()
         except ValueError as err:
             raise SystemExit(str(err)) from err
+    if getattr(args, "backend", None) is None and hasattr(args, "backend"):
+        # Same for a malformed REPRO_BACKEND when no --backend is given.
+        env = os.environ.get(BACKEND_ENV, "").strip()
+        if env:
+            try:
+                _check_name(env)
+            except ValueError as err:
+                raise SystemExit(f"{BACKEND_ENV}: {err}") from err
     retries_flag = getattr(args, "max_shard_retries", None)
     if retries_flag is not None or hasattr(args, "max_shard_retries"):
         from repro.perf.supervise import (
@@ -622,12 +634,11 @@ def _validate_args(args: argparse.Namespace) -> None:
         raise SystemExit(f"--max-findings must be >= 1, got {max_findings}")
     backends = getattr(args, "backends", None)
     if backends is not None:
-        valid = {"auto", "numpy", "table", "bitplane", "process"}
         for name in backends.split(","):
-            if name.strip() and name.strip() not in valid:
+            if name.strip() and name.strip() not in BACKEND_NAMES:
                 raise SystemExit(
                     f"--backends: unknown sweep backend {name.strip()!r} "
-                    f"(choose from {', '.join(sorted(valid))})"
+                    f"(choose from {', '.join(BACKEND_NAMES)})"
                 )
     tolerance = getattr(args, "tolerance", None)
     if tolerance is not None and tolerance <= 1.0:

@@ -43,7 +43,7 @@ class CellularAutomaton:
         If True (the paper's default), a node's own state is part of its
         rule's window; if False the node sees only its neighbors.
     backend:
-        Sweep-backend name (``auto``, ``bitplane``, ``table``, ``numpy``,
+        Sweep-backend name (``auto``, ``bitplane``, ``numpy``,
         ``process``) for the whole-space sweeps; None defers to the
         ``REPRO_BACKEND`` env var and then the ``auto`` policy.  See
         :mod:`repro.perf`.
@@ -75,7 +75,7 @@ class CellularAutomaton:
 
     def _init_backend(self, backend: str | None, workers: int | None) -> None:
         """Record the backend selection; construction is lazy (the compiled
-        backends do real work — LUTs, kernel lowering — that pure-dynamics
+        backend does real work — kernel lowering — that pure-dynamics
         callers never need), but an explicit bad name fails fast here."""
         if backend is not None:
             from repro.perf import _check_name

@@ -19,11 +19,12 @@ batch — no Python loop on the hot path, per the HPC guide).
 
 Two *lowerings* feed the compiled sweep backends (:mod:`repro.perf`):
 
-* :meth:`UpdateRule.lut` materialises the rule at a concrete window width
-  as a ``2**k`` lookup table (the ``table`` backend's format);
 * :meth:`UpdateRule.count_profile` exposes the count profile of totalistic
-  rules (the ``bitplane`` backend's format — threshold/majority/parity
-  rules become pure bitwise kernels over 64-configuration words).
+  rules — threshold/majority/parity rules become pure bitwise kernels over
+  64-configuration words;
+* :meth:`UpdateRule.lut` materialises the rule at a concrete window width
+  as a ``2**k`` lookup table — the ``bitplane`` backend turns narrow
+  non-totalistic tables (elementary rules) into sums of products.
 """
 
 from __future__ import annotations

@@ -7,21 +7,18 @@ the kernels that compute them, behind one registry:
 
 ``numpy``
     The generic window-gather reference (works for every space and rule).
-``table``
-    Per-node rules compiled to ``2**k`` lookup tables; a chunk is integer
-    bit extraction + one gather per node.
 ``bitplane``
     SWAR kernels packing 64 configurations per ``uint64`` word; threshold
-    / XOR / small-arity (elementary) rules as pure bitwise ops.
+    / XOR / small-arity (elementary) rules as pure bitwise ops, at any n.
 ``process``
     A multiprocessing shard layer over any serial backend, merging into a
     shared-memory successor array with honest budget/frontier semantics.
 
 Selection: ``CellularAutomaton(backend=...)`` > the ``REPRO_BACKEND`` env
-var > ``auto``.  The ``auto`` policy picks the fastest applicable kernel —
-bitplane when every node's rule lowers to a bit kernel, table when the
-windows fit a LUT, numpy otherwise — and wraps it in process sharding for
-spaces of at least ``2**PROCESS_MIN_N`` configurations on multi-CPU hosts.
+var > ``auto``.  The ``auto`` policy picks bitplane when every node's rule
+lowers to a bit kernel and numpy otherwise, and wraps it in process
+sharding for spaces of at least ``2**PROCESS_MIN_N`` configurations on
+multi-CPU hosts.
 """
 
 from __future__ import annotations
@@ -43,7 +40,6 @@ from repro.perf.supervise import (
     default_max_worker_deaths,
     default_shard_timeout_s,
 )
-from repro.perf.table import TableBackend
 
 __all__ = [
     "CHUNK",
@@ -54,7 +50,6 @@ __all__ = [
     "BACKEND_NAMES",
     "SweepBackend",
     "NumpyBackend",
-    "TableBackend",
     "BitplaneBackend",
     "ProcessBackend",
     "ShardFailed",
@@ -76,16 +71,12 @@ PROCESS_MIN_N = 22
 
 BACKENDS: dict[str, type[SweepBackend]] = {
     "numpy": NumpyBackend,
-    "table": TableBackend,
     "bitplane": BitplaneBackend,
     "process": ProcessBackend,
 }
 
 #: ``auto`` plus the concrete backends, in documentation order
-BACKEND_NAMES = ("auto", "bitplane", "table", "numpy", "process")
-
-#: serial preference order of the ``auto`` policy
-_AUTO_SERIAL = ("bitplane", "table", "numpy")
+BACKEND_NAMES = ("auto", "bitplane", "numpy", "process")
 
 
 def _check_name(name: str) -> str:
@@ -99,17 +90,16 @@ def _check_name(name: str) -> str:
 
 
 def resolve_serial_backend(ca, name: str = "auto") -> SweepBackend:
-    """Construct the serial backend ``name`` for ``ca`` (``auto`` picks the
-    fastest applicable of bitplane > table > numpy)."""
+    """Construct the serial backend ``name`` for ``ca`` (``auto`` picks
+    bitplane when it applies, else numpy)."""
     name = _check_name(name)
     if name == "process":
         raise ValueError("process is not a serial backend")
     if name != "auto":
         return BACKENDS[name](ca)
-    for candidate in _AUTO_SERIAL:
-        if BACKENDS[candidate].supports(ca) is None:
-            return BACKENDS[candidate](ca)
-    return NumpyBackend(ca)  # pragma: no cover - numpy always applies
+    if BitplaneBackend.supports(ca) is None:
+        return BitplaneBackend(ca)
+    return NumpyBackend(ca)
 
 
 def resolve_backend(

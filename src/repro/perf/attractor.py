@@ -152,9 +152,9 @@ class AttractorKernel:
     def supports(cls, ca) -> str | None:
         """``None`` when the kernel can run ``ca``, else the reason not.
 
-        Unlike the consecutive-code sweep backend there is no ``n >= 6``
-        floor — lanes hold arbitrary codes — so the qa differential
-        harness can cross-check the kernel on the smallest instances.
+        Lanes hold arbitrary codes, so any ``n`` up to the ceiling runs and
+        the qa differential harness can cross-check the kernel on the
+        smallest instances.
         """
         if sys.byteorder != "little":  # pragma: no cover - exotic hosts
             return "trajectory-plane packing assumes a little-endian host"

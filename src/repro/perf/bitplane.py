@@ -18,8 +18,10 @@ all.  Each node's rule is lowered to a pure bitwise kernel
   as a sum-of-products over the input planes.
 
 Throughput is an order of magnitude over the gather path for exactly the
-rules the paper studies; rules with no lowering are rejected by
-``supports`` and the ``auto`` policy falls back to the table backend.
+rules the paper studies.  A range is padded out to whole 64-configuration
+words (:meth:`BitplaneBackend._aligned`), so any ``n`` runs, down to
+Fig. 1's 2-node XOR.  Rules with no lowering are rejected by ``supports``
+and the ``auto`` policy falls back to the numpy backend.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ __all__ = [
 ]
 
 #: widest window lowered as a raw truth-table sum-of-products (2**6 = 64
-#: minterms; beyond that the kernel would be slower than the LUT gather)
+#: minterms; wider non-totalistic rules run on the numpy backend)
 MAX_SOP_WIDTH = 6
 
 _ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
@@ -152,8 +154,6 @@ class BitplaneBackend(SweepBackend):
     def supports(cls, ca) -> str | None:
         if sys.byteorder != "little":  # pragma: no cover - exotic hosts
             return "bit-plane packing assumes a little-endian host"
-        if ca.n < 6:
-            return f"needs n >= 6 for whole 64-configuration words, got {ca.n}"
         seen: set[tuple[int, int]] = set()
         for i in range(ca.n):
             rule = ca.rule_at(i)
@@ -230,6 +230,8 @@ class BitplaneBackend(SweepBackend):
 
     @staticmethod
     def _aligned(lo: int, hi: int) -> tuple[int, int]:
+        """``lo .. hi`` widened to whole words.  For ``n < 6`` the padding
+        codes lie past ``2**n``; they are computed and sliced off."""
         return lo & ~63, (hi + 63) & ~63
 
     def step_all_range(self, lo: int, hi: int) -> np.ndarray:

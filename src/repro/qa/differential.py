@@ -44,7 +44,7 @@ __all__ = [
 #: ``process`` shard layer forks per sweep — include it explicitly via
 #: ``backends=[..., "process"]`` when that cost is wanted; the fuzz CLI
 #: does so automatically on hosts with >= 2 CPUs)
-AUTO_BACKENDS = ("numpy", "table", "bitplane")
+AUTO_BACKENDS = ("numpy", "bitplane")
 
 #: how many mismatching codes a violation records (enough to eyeball,
 #: small enough to keep finding.json readable)

@@ -19,33 +19,11 @@ import repro.mc.sampler as mc_sampler
 import repro.perf.attractor as attractor
 import repro.perf.bitplane as bitplane
 from repro.mc.kernel import McKernel
-from repro.perf.table import TableBackend
 
 __all__ = ["MUTANTS", "active_mutant"]
 
 
-def _mutant_table_wrap(cls=TableBackend):
-    """Off-by-one in the table backend's wrapped-window rotation."""
-    original = cls._wcodes
-
-    def _wcodes(self, i, codes):
-        rot = self._rot[i]
-        if rot is not None:
-            shift, k = rot
-            if shift != 0 and shift + k > self.ca.n:
-                mask = np.int64((1 << k) - 1)
-                low = codes & np.int64((1 << shift) - 1)
-                # BUG: rotates one bit short of the true wrap distance.
-                rotated = (codes >> shift) | (
-                    low << max(0, self.ca.n - shift - 1)
-                )
-                return rotated & mask
-        return original(self, i, codes)
-
-    return [(cls, "_wcodes", _wcodes)]
-
-
-def _mutant_table_stale_bit(cls=TableBackend):
+def _mutant_bitplane_stale_bit():
     """Node successor XORs the new bit instead of replacing the old one.
 
     Patches both node-successor kernels (the single-row chunk path and
@@ -53,16 +31,19 @@ def _mutant_table_stale_bit(cls=TableBackend):
     """
 
     def node_successors_range(self, i, lo, hi):
-        codes = np.arange(lo, hi, dtype=np.int64)
-        new_bits = self._luts[i][self._wcodes(i, codes)].astype(np.int64)
+        lo0, hi0 = self._aligned(lo, hi)
+        new_plane = self._out_plane(i, lo0, (hi0 - lo0) >> 6, {})
+        codes = np.arange(lo0, hi0, dtype=np.int64)
         # BUG: flips bit i whenever the new bit is 1, rather than
         # whenever it differs from the old bit.
-        return codes ^ (new_bits << i)
+        succ = codes ^ (self._unpack(new_plane).astype(np.int64) << i)
+        return succ[lo - lo0 : hi - lo0]
 
     def sweep_all_nodes_range(self, lo, hi, out):
         for i in range(self.ca.n):
             out[i] = node_successors_range(self, i, lo, hi)
 
+    cls = bitplane.BitplaneBackend
     return [
         (cls, "node_successors_range", node_successors_range),
         (cls, "sweep_all_nodes_range", sweep_all_nodes_range),
@@ -157,8 +138,7 @@ def _mutant_mc_sweep_level_merge():
 #: name -> patch factory returning [(class-or-module, attribute,
 #: replacement), ...]
 MUTANTS = {
-    "table-wrap-rotation": _mutant_table_wrap,
-    "table-stale-bit": _mutant_table_stale_bit,
+    "bitplane-stale-bit": _mutant_bitplane_stale_bit,
     "bitplane-parity-drop": _mutant_bitplane_parity_drop,
     "quotient-reflection-drop": _mutant_quotient_reflection_drop,
     "mc-sampler-tail-drop": _mutant_mc_sampler_tail_drop,

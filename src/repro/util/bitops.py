@@ -175,9 +175,8 @@ def canonical_ring_form(
 ) -> np.ndarray:
     """Least code in each configuration's dihedral (or cyclic) orbit.
 
-    The vectorized counterpart of
-    :func:`repro.analysis.symmetry.canonical_code`: ``2n`` rotate/min
-    passes over the whole array instead of a Python loop per code.
+    ``2n`` rotate/min passes over the whole array (the minimum over every
+    :func:`rotate_bits` of the code and of its :func:`reverse_bits`).
     """
     v = codes.astype(np.uint64, copy=False)
     best = v.copy()

@@ -1,12 +1,12 @@
 """Property tests for the sweep-backend subsystem (repro.perf).
 
 Every backend must produce *bit-identical* successor maps: the numpy
-window-gather reference, the compiled ``table`` and ``bitplane`` kernels
-and the ``process`` shard layer are interchangeable by construction, and
+window-gather reference, the compiled ``bitplane`` kernel and the
+``process`` shard layer are interchangeable by construction, and
 these tests pin that down against the scalar ``step_naive`` oracle and
-against each other — across spaces (rings, lines, wide radii), rule
-families (threshold, XOR, raw tables, heterogeneous mixtures) and both
-memory conventions.  Governance is part of the contract too: budget
+against each other — across spaces (rings, lines, wide radii, sizes
+below one 64-configuration word), rule families (threshold, XOR, raw
+tables, heterogeneous mixtures) and both memory conventions.  Governance is part of the contract too: budget
 trips must yield the same resumable frontier whichever kernel runs.
 """
 
@@ -44,7 +44,13 @@ from repro.spaces.graph import GraphSpace
 from repro.spaces.line import Line, Ring
 from repro.util.bitops import config_str, int_to_bits
 
-SERIAL = ("numpy", "table", "bitplane")
+SERIAL = ("numpy", "bitplane")
+
+#: a non-symmetric 7-input table (radius-3 window with memory): wider than
+#: the bitplane sum-of-products and not totalistic, so nothing lowers it
+_UNLOWERABLE = TableRule(
+    [(c * 0x9E3779B1 >> 7) & 1 for c in range(128)], name="scrambled7"
+)
 
 
 def oracle_step_all(ca: CellularAutomaton) -> np.ndarray:
@@ -69,6 +75,11 @@ CASES = [
     pytest.param(Ring(8, radius=2), XorRule(), True, id="ring8-r2-xor"),
     pytest.param(Ring(9), WolframRule(110), True, id="ring9-w110"),
     pytest.param(Ring(9), WolframRule(30), True, id="ring9-w30"),
+    # below one 64-configuration word: bitplane pads the range
+    pytest.param(Ring(3), MajorityRule(), True, id="ring3-majority"),
+    pytest.param(Ring(5), WolframRule(110), True, id="ring5-w110"),
+    pytest.param(Line(2), XorRule(), True, id="line2-xor"),
+    pytest.param(Line(5), SimpleThresholdRule(1), False, id="line5-thr1-nomem"),
 ]
 
 
@@ -231,41 +242,42 @@ class TestGovernedTripEquivalence:
 
 class TestSelectionPolicy:
     def test_explicit_name_wins(self):
-        ca = make_ca(Ring(9), MajorityRule(), backend="table")
-        assert ca.backend.name == "table"
+        ca = make_ca(Ring(9), MajorityRule(), backend="numpy")
+        assert ca.backend.name == "numpy"
 
     def test_auto_prefers_bitplane_for_threshold(self):
         ca = make_ca(Ring(9), MajorityRule())
         assert ca.backend.name == "bitplane"
 
-    def test_auto_falls_back_below_bitplane_minimum(self):
-        # n=5 < 64-configuration words: bitplane refuses, auto moves on.
-        ca = make_ca(Ring(5), MajorityRule())
-        assert ca.backend.name in ("table", "numpy")
+    def test_auto_picks_bitplane_below_one_word(self):
+        # fewer than 64 configurations: bitplane pads the last word
+        for n in range(1, 6):
+            assert make_ca(Line(n), MajorityRule()).backend.name == "bitplane"
 
     def test_env_var_selects_backend(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "table")
+        monkeypatch.setenv("REPRO_BACKEND", "numpy")
         ca = make_ca(Ring(9), MajorityRule())
-        assert ca.backend.name == "table"
+        assert ca.backend.name == "numpy"
 
     def test_explicit_overrides_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "table")
-        ca = make_ca(Ring(9), MajorityRule(), backend="numpy")
-        assert ca.backend.name == "numpy"
+        monkeypatch.setenv("REPRO_BACKEND", "numpy")
+        ca = make_ca(Ring(9), MajorityRule(), backend="bitplane")
+        assert ca.backend.name == "bitplane"
 
     def test_unknown_name_rejected_eagerly(self):
         with pytest.raises(ValueError, match="unknown sweep backend"):
             make_ca(Ring(9), MajorityRule(), backend="simd")
 
     def test_unsupported_explicit_backend_raises(self):
-        ca = make_ca(Ring(5), MajorityRule(), backend="bitplane")
-        with pytest.raises(BackendUnsupported, match="needs n >= 6"):
+        ca = make_ca(Ring(9, radius=3), _UNLOWERABLE, backend="bitplane")
+        with pytest.raises(BackendUnsupported, match="no bitwise lowering"):
             ca.backend  # resolution is lazy
 
     def test_supports_reasons_are_strings(self):
-        ca = make_ca(Ring(5), MajorityRule())
+        ca = make_ca(Ring(9, radius=3), _UNLOWERABLE)
         reason = BitplaneBackend.supports(ca)
-        assert isinstance(reason, str) and "64" in reason
+        assert isinstance(reason, str) and "no bitwise lowering" in reason
+        assert ca.backend.name == "numpy"  # auto falls back
 
     def test_resolve_serial_rejects_process(self):
         ca = make_ca(Ring(9), MajorityRule())
@@ -273,7 +285,7 @@ class TestSelectionPolicy:
             resolve_serial_backend(ca, "process")
 
     def test_registry_covers_all_names(self):
-        assert set(BACKENDS) == {"numpy", "table", "bitplane", "process"}
+        assert set(BACKENDS) == {"numpy", "bitplane", "process"}
 
     def test_auto_stays_serial_for_small_spaces(self):
         backend = resolve_backend(make_ca(Ring(10), MajorityRule()), "auto",

@@ -249,12 +249,20 @@ class TestBackendErrorPaths:
     (no traceback), and subcommands without backend selection reject the
     flag at the argparse layer with the conventional usage exit code."""
 
-    def test_unsupported_backend_is_one_line_systemexit(self):
+    def test_unsupported_backend_is_one_line_systemexit(self, monkeypatch):
+        # bitplane runs every CLI automaton on a little-endian host, so
+        # stand in for a host or rule it cannot run
+        from repro.perf import BitplaneBackend
+
+        monkeypatch.setattr(
+            BitplaneBackend, "supports",
+            classmethod(lambda cls, ca: "no bitwise lowering on this host"),
+        )
         with pytest.raises(SystemExit) as excinfo:
             run_cli("phase-space", "--n", "5", "--backend", "bitplane")
         message = str(excinfo.value)
         assert "bitplane backend cannot run" in message
-        assert "needs n >= 6" in message
+        assert "no bitwise lowering on this host" in message
         assert "\n" not in message  # one line, not a traceback dump
 
     def test_bad_workers_rejected_before_any_work(self):
@@ -269,8 +277,8 @@ class TestBackendErrorPaths:
         assert str(excinfo.value) == "--workers must be >= 1, got -2"
 
     @pytest.mark.parametrize("argv", [
-        ["simulate", "--n", "8", "--backend", "table"],
-        ["run", "E1", "--backend", "table"],
+        ["simulate", "--n", "8", "--backend", "bitplane"],
+        ["run", "E1", "--backend", "numpy"],
         ["list", "--backend", "numpy"],
     ])
     def test_backend_flag_rejected_by_non_sweep_subcommands(
@@ -282,10 +290,19 @@ class TestBackendErrorPaths:
         err = capsys.readouterr().err
         assert "unrecognized arguments: --backend" in err
 
-    def test_unknown_backend_name_listed_in_error(self):
+    def test_unknown_backend_name_listed_in_error(self, monkeypatch):
         with pytest.raises(SystemExit) as excinfo:
             run_cli("phase-space", "--n", "6", "--backend", "cuda")
         assert excinfo.value.code == 2
         with pytest.raises(SystemExit) as excinfo:
             run_cli("fuzz", "--cases", "1", "--backends", "numpy,cuda")
         assert "unknown sweep backend 'cuda'" in str(excinfo.value)
+        # the environment default is a usage error too, not a traceback
+        monkeypatch.setenv("REPRO_BACKEND", "cuda")
+        for argv in (["census", "--min-n", "4", "--max-n", "6"],
+                     ["phase-space", "--n", "4"]):
+            with pytest.raises(SystemExit) as excinfo:
+                run_cli(*argv)
+            message = str(excinfo.value)
+            assert message.startswith("REPRO_BACKEND: unknown sweep backend")
+            assert "'cuda'" in message and "\n" not in message

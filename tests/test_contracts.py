@@ -104,7 +104,7 @@ def run_tree(tmp_path):
         check="differential.step_all",
         detail={"codes": [3]},
         spec={"n": 4, "rule": "majority"},
-        backends=["numpy", "table"],
+        backends=["numpy", "bitplane"],
     ).save(tmp_path / "findings")
     return tmp_path
 

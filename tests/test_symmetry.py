@@ -1,84 +1,121 @@
-"""Tests for ring-symmetry analysis (repro.analysis.symmetry) and the
-constructive interleaving witnesses (NondetPhaseSpace.shortest_schedule)."""
+"""Tests for ring symmetry (the dihedral group action in repro.util.bitops
+and the equivariance of the global map) and the constructive interleaving
+witnesses (NondetPhaseSpace.shortest_schedule)."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.symmetry import (
-    canonical_code,
-    check_reflection_equivariance,
-    check_translation_equivariance,
-    reflect_config,
-    rotate_config,
-    symmetry_classes,
-)
 from repro.core.automaton import CellularAutomaton
 from repro.core.nondet import NondetPhaseSpace
 from repro.core.phase_space import PhaseSpace
 from repro.core.rules import MajorityRule, TableRule, WolframRule, XorRule
 from repro.spaces.line import Ring
+from repro.util.bitops import (
+    canonical_ring_form,
+    reverse_bits,
+    rotate_bits,
+    rotate_bits_array,
+)
+
+
+def canonical(code: int, n: int) -> int:
+    return int(canonical_ring_form(np.array([code], dtype=np.uint64), n)[0])
+
+
+def translation_equivariant(ca, exhaustive_limit=14, samples=64, seed=0):
+    """Does the global map commute with rotation?  (It must, on a ring.)
+
+    Exhaustive up to ``exhaustive_limit`` nodes, sampled above.
+    """
+    n = ca.n
+    if n <= exhaustive_limit:
+        codes = np.arange(1 << n, dtype=np.uint64)
+        succ = ca.step_all().astype(np.uint64)
+        return all(
+            np.array_equal(
+                succ[rotate_bits_array(codes, n, shift).astype(np.int64)],
+                rotate_bits_array(succ, n, shift),
+            )
+            for shift in range(1, n)
+        )
+    rng = np.random.default_rng(seed)
+    for _ in range(samples):
+        state = rng.integers(0, 2, n).astype(np.uint8)
+        shift = int(rng.integers(1, n))
+        direct = ca.step(np.roll(state, shift))
+        if not np.array_equal(direct, np.roll(ca.step(state), shift)):
+            return False
+    return True
+
+
+def reflection_equivariant(ca, samples=64, seed=0):
+    """Does the global map commute with mirroring?  True exactly when the
+    local rule is mirror-symmetric in its window."""
+    rng = np.random.default_rng(seed)
+    for _ in range(samples):
+        state = rng.integers(0, 2, ca.n).astype(np.uint8)
+        if not np.array_equal(ca.step(state[::-1].copy())[::-1], ca.step(state)):
+            return False
+    return True
 
 
 class TestGroupAction:
     def test_rotate_and_reflect(self):
-        assert rotate_config(0b0001, 4, 1) == 0b0010
-        assert reflect_config(0b0011, 4) == 0b1100
+        assert rotate_bits(0b0001, 4, 1) == 0b0010
+        assert reverse_bits(0b0011, 4) == 0b1100
 
     def test_canonical_is_orbit_minimum(self):
         n = 6
         code = 0b010110
-        canon = canonical_code(code, n)
         orbit = set()
         for s in range(n):
-            r = rotate_config(code, n, s)
+            r = rotate_bits(code, n, s)
             orbit.add(r)
-            orbit.add(reflect_config(r, n))
-        assert canon == min(orbit)
+            orbit.add(reverse_bits(r, n))
+        assert canonical(code, n) == min(orbit)
 
     @given(st.integers(min_value=0, max_value=255),
            st.integers(min_value=0, max_value=7))
     @settings(max_examples=50)
     def test_canonical_invariant_under_action(self, code, shift):
         n = 8
-        assert canonical_code(rotate_config(code, n, shift), n) == canonical_code(
-            code, n
-        )
-        assert canonical_code(reflect_config(code, n), n) == canonical_code(code, n)
+        assert canonical(rotate_bits(code, n, shift), n) == canonical(code, n)
+        assert canonical(reverse_bits(code, n), n) == canonical(code, n)
 
     def test_symmetry_classes_partition(self):
-        classes = symmetry_classes(range(64), 6)
-        total = sum(len(v) for v in classes.values())
-        assert total == 64
+        canon = canonical_ring_form(np.arange(64, dtype=np.uint64), 6)
+        reps, sizes = np.unique(canon, return_counts=True)
+        assert sizes.sum() == 64
         # Necklace + reflection count for n=6: 13 binary bracelets.
-        assert len(classes) == 13
+        assert reps.size == 13
 
 
 class TestEquivariance:
     def test_majority_translation_equivariant_exhaustive(self):
         ca = CellularAutomaton(Ring(8), MajorityRule())
-        assert check_translation_equivariance(ca)
+        assert translation_equivariant(ca)
 
     def test_majority_translation_equivariant_sampled(self):
         ca = CellularAutomaton(Ring(64), MajorityRule())
-        assert check_translation_equivariance(ca, exhaustive_limit=10)
+        assert translation_equivariant(ca, exhaustive_limit=10)
 
     def test_all_wolfram_rules_translation_equivariant(self):
         # Spot-check a spread of elementary rules exhaustively on a 7-ring.
         for number in (30, 90, 110, 150, 184, 232):
             ca = CellularAutomaton(Ring(7), WolframRule(number))
-            assert check_translation_equivariance(ca)
+            assert translation_equivariant(ca)
 
     def test_majority_reflection_equivariant(self):
         ca = CellularAutomaton(Ring(10), MajorityRule())
-        assert check_reflection_equivariance(ca)
+        assert reflection_equivariant(ca)
 
     def test_shift_rule_not_reflection_equivariant(self):
         shift = TableRule([0, 1] * 4, name="left-shift")
         ca = CellularAutomaton(Ring(10), shift)
-        assert check_translation_equivariance(ca)
-        assert not check_reflection_equivariance(ca)
+        assert translation_equivariant(ca)
+        assert not reflection_equivariant(ca)
 
     def test_phase_space_features_closed_under_rotation(self):
         ca = CellularAutomaton(Ring(8), MajorityRule())
@@ -86,13 +123,13 @@ class TestEquivariance:
         fps = set(ps.fixed_points.tolist())
         for code in list(fps):
             for s in range(8):
-                assert rotate_config(code, 8, s) in fps
+                assert rotate_bits(code, 8, s) in fps
 
     def test_two_cycle_is_one_symmetry_class(self):
         ca = CellularAutomaton(Ring(8), MajorityRule())
         ps = PhaseSpace.from_automaton(ca)
-        classes = symmetry_classes(ps.cycle_configs.tolist(), 8)
-        assert len(classes) == 1  # 01010101 and 10101010 are one bracelet
+        canon = canonical_ring_form(ps.cycle_configs.astype(np.uint64), 8)
+        assert np.unique(canon).size == 1  # 01010101 and 10101010: one bracelet
 
 
 class TestShortestSchedule:
