@@ -21,8 +21,7 @@ import numpy as np
 
 from repro.core.budget import BudgetExceeded, resolve_budget
 from repro.core.rules import UpdateRule
-from repro.perf.base import CHUNK as _CHUNK
-from repro.perf.base import MAX_SWEEP_N
+from repro.perf.base import CHUNK, MAX_SWEEP_N
 from repro.spaces.base import FiniteSpace
 from repro.util.bitops import bits_to_int, int_to_bits
 from repro.util.validation import check_node_index, check_state_vector
@@ -230,58 +229,45 @@ class CellularAutomaton:
             )
         return 1 << self.n
 
-    def step_all(self, budget=None) -> np.ndarray:
+    def _sweep(self, what: str, fill, budget=None) -> np.ndarray:
+        """``fill`` over all ``2**n`` configurations, under the cancel token
+        and deadline of ``budget`` (else the ambient one) and nothing else:
+        no caps apply and nothing is charged."""
+        succ = np.empty(self._check_sweep_size(what), dtype=np.int64)
+        view = resolve_budget(budget).uncapped()
+        _, reason = self.backend.governed_sweep(succ, view, fill=fill)
+        if reason is not None:
+            raise BudgetExceeded(reason)
+        return succ
+
+    def step_all(self) -> np.ndarray:
         """Packed synchronous successor of every configuration.
 
         Returns ``succ`` with ``succ[c] = pack(step(unpack(c)))`` for all
         ``c`` in ``0 .. 2**n - 1`` — the full global map as one array.
-        An optional :class:`~repro.core.budget.Budget` is consulted between
-        chunks (wall-clock/cancellation only; memory-governed builds with
-        resumable frontiers live in :func:`repro.core.phase_space.build_phase_space`).
+        The ambient budget is consulted between chunks (wall-clock/
+        cancellation only; memory-governed builds with resumable frontiers
+        live in :func:`repro.core.phase_space.build_phase_space`).
         """
-        total = self._check_sweep_size("step_all")
-        succ = np.empty(total, dtype=np.int64)
-        backend = self.backend
-        if backend.is_sharded:
-            _, reason = backend.governed_sweep(
-                succ, resolve_budget(budget), mode="step"
-            )
-            if reason is not None:
-                raise BudgetExceeded(reason)
-            return succ
-        for lo in range(0, total, _CHUNK):
-            if budget is not None:
-                budget.check()
-            hi = min(lo + _CHUNK, total)
-            succ[lo:hi] = backend.step_all_range(lo, hi)
-        return succ
+        return self._sweep("step_all", self.step_all_range)
 
     def node_successors(self, i: int, budget=None) -> np.ndarray:
         """Packed successor of every configuration under updating node ``i``.
 
         ``succ_i[c]`` differs from ``c`` in at most bit ``i``.  The family
         ``{succ_i}`` is the full nondeterministic sequential transition
-        relation of the SCA.
+        relation of the SCA.  ``budget`` (else the ambient one) is consulted
+        between chunks, wall-clock/cancellation only, like :meth:`step_all`.
         """
         check_node_index(i, self.n)
-        total = self._check_sweep_size("node_successors")
-        succ = np.empty(total, dtype=np.int64)
         backend = self.backend
-        if backend.is_sharded:
-            _, reason = backend.governed_sweep(
-                succ, resolve_budget(budget), mode="node", node=i
-            )
-            if reason is not None:
-                raise BudgetExceeded(reason)
-            return succ
-        for lo in range(0, total, _CHUNK):
-            if budget is not None:
-                budget.check()
-            hi = min(lo + _CHUNK, total)
-            succ[lo:hi] = backend.node_successors_range(i, lo, hi)
-        return succ
+        return self._sweep(
+            "node_successors",
+            lambda lo, hi: backend.node_successors_range(i, lo, hi),
+            budget,
+        )
 
-    def all_node_successors(self, budget=None) -> np.ndarray:
+    def all_node_successors(self) -> np.ndarray:
         """Matrix of shape ``(n, 2**n)``: row ``i`` is :meth:`node_successors(i)`.
 
         One shared sweep fills all ``n`` rows per chunk — the per-chunk
@@ -293,11 +279,9 @@ class CellularAutomaton:
         backend = self.backend
         if backend.is_sharded:
             for i in range(self.n):
-                out[i] = self.node_successors(i, budget=budget)
+                out[i] = self.node_successors(i)
             return out
-        for lo in range(0, total, _CHUNK):
-            if budget is not None:
-                budget.check()
-            hi = min(lo + _CHUNK, total)
+        for lo in range(0, total, CHUNK):
+            hi = min(lo + CHUNK, total)
             backend.sweep_all_nodes_range(lo, hi, out[:, lo:hi])
         return out

@@ -461,6 +461,17 @@ class Budget:
         if reason is not None:
             raise BudgetExceeded(reason, partial=partial)
 
+    def uncapped(self) -> "Budget":
+        """A view that trips only on this budget's cancellation or deadline.
+
+        It shares the cancel token and the deadline, has no memory or
+        states cap, and keeps its charges to itself — the envelope of a
+        sweep that no caller accounts for.
+        """
+        view = Budget(token=self.token)
+        view.wall_s, view._t0, view._deadline = self.wall_s, self._t0, self._deadline
+        return view
+
     def describe(self) -> str:
         """The envelope, compact (``wall=10s mem=256.0MB states=2^22``)."""
         parts = []

@@ -305,8 +305,10 @@ def build_nondet_phase_space(
     The ``(n, 2**n)`` node-successor matrix is filled one node row at a
     time; the budget is consulted before each row (projecting the row's
     :data:`~repro.core.budget.NONDET_BYTES_PER_STATE` footprint, which
-    also covers the change-edge arrays the SCC analysis later holds) and
-    cooperatively inside the row's chunked sweep.  On a trip the returned
+    also covers the change-edge arrays the SCC analysis later holds), and
+    its cancel token and deadline inside the row's chunked sweep.  Each
+    row is charged once, here, so a states cap stops every backend at the
+    same row.  On a trip the returned
     :class:`~repro.core.budget.Partial` carries a ``frontier`` with the
     completed rows; resumed frontiers are disk-backed memmaps charged only
     for chunk transients, exactly like

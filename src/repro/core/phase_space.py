@@ -30,8 +30,7 @@ from repro.core.budget import (
     resolve_budget,
 )
 from repro.obs import span
-from repro.perf.base import CHUNK as _CHUNK
-from repro.perf.base import MAX_SWEEP_N
+from repro.perf.base import CHUNK, MAX_SWEEP_N
 from repro.util.bitops import config_str
 
 __all__ = ["ConfigClass", "PhaseSpace", "build_phase_space"]
@@ -265,10 +264,6 @@ def build_phase_space(
     if n > MAX_SWEEP_N:
         raise ValueError(f"phase space over 2**{n} configurations is too large")
     total = 1 << n
-    # Lazy import: repro.harness imports the checkpoint layer which imports
-    # this budget machinery; at call time the cycle is long resolved.
-    from repro.harness import faults
-
     if frontier is not None:
         check_frontier(frontier, "phase_space", n, ca.describe())
         succ = frontier["succ"]
@@ -282,7 +277,6 @@ def build_phase_space(
     # envelope: only the per-chunk scratch is charged, which is what lets
     # a resume make progress under the very ceiling that truncated it.
     per_state = 0 if isinstance(succ, np.memmap) else PHASE_ANALYSIS_BYTES_PER_STATE
-    transient = ca.sweep_transient_bytes()
 
     def _frontier(next_lo: int) -> dict[str, object]:
         return {
@@ -299,62 +293,26 @@ def build_phase_space(
         "phase_space.build", n=n, configs=total, budget=budget.describe()
     ) as build_span:
         with span("phase_space.global_map", n=n, resumed_from=start):
-            backend = ca.backend
-            if backend.is_sharded:
-                # The shard layer drives its own dispatch/merge loop; it
-                # charges the budget as the contiguous completed prefix
-                # advances and reports the honest resume point on a trip.
-                def _count_fps(lo: int, hi: int) -> None:
-                    nonlocal fp_count
-                    fp_count += int(
-                        np.count_nonzero(
-                            succ[lo:hi] == np.arange(lo, hi, dtype=np.int64)
-                        )
-                    )
-
-                next_lo, reason = backend.governed_sweep(
-                    succ,
-                    budget,
-                    start=start,
-                    per_state=per_state,
-                    mode="step",
-                    on_prefix=_count_fps,
+            next_lo, reason = ca.backend.governed_sweep(
+                succ,
+                budget,
+                fill=ca.step_all_range,
+                start=start,
+                per_state=per_state,
+            )
+            for lo in range(start, next_lo, CHUNK):
+                hi = min(lo + CHUNK, next_lo)
+                codes = np.arange(lo, hi, dtype=np.int64)
+                fp_count += int(np.count_nonzero(succ[lo:hi] == codes))
+            if reason is not None:
+                build_span.set(truncated=reason, explored=next_lo)
+                return Partial.truncated(
+                    reason,
+                    explored=next_lo,
+                    total=total,
+                    stats={"fixed_points_so_far": fp_count},
+                    frontier=_frontier(next_lo),
                 )
-                if reason is not None:
-                    build_span.set(truncated=reason, explored=next_lo)
-                    return Partial.truncated(
-                        reason,
-                        explored=next_lo,
-                        total=total,
-                        stats={"fixed_points_so_far": fp_count},
-                        frontier=_frontier(next_lo),
-                    )
-            else:
-                lo = start
-                while lo < total:
-                    hi = min(lo + _CHUNK, total)
-                    reason = budget.over(
-                        pending_bytes=transient + per_state * (hi - lo)
-                    )
-                    if reason is not None:
-                        build_span.set(truncated=reason, explored=lo)
-                        return Partial.truncated(
-                            reason,
-                            explored=lo,
-                            total=total,
-                            stats={"fixed_points_so_far": fp_count},
-                            frontier=_frontier(lo),
-                        )
-                    faults.inject("phase_space.chunk")
-                    chunk = ca.step_all_range(lo, hi)
-                    succ[lo:hi] = chunk
-                    fp_count += int(
-                        np.count_nonzero(
-                            chunk == np.arange(lo, hi, dtype=np.int64)
-                        )
-                    )
-                    budget.charge(states=hi - lo, bytes_=per_state * (hi - lo))
-                    lo = hi
         # Enumeration complete.  Gate the cycle analysis on the *projected*
         # analysis footprint so the FunctionalGraph arrays never OOM: the
         # in-memory path pre-charged the analysis share per state, the

@@ -25,7 +25,7 @@ import sys
 import numpy as np
 
 from repro.perf.base import CHUNK, MAX_ATTRACTOR_N, BackendUnsupported
-from repro.perf.bitplane import eval_bit_kernel, lower_bit_kernel
+from repro.perf.bitplane import eval_bit_kernel, lower_nodes
 
 __all__ = [
     "AttractorKernel",
@@ -134,19 +134,7 @@ class AttractorKernel:
         self.quotient = quotient
         self.lanes = max(64, lanes)
         self.chunk = CHUNK if 1 << self.n <= ATTRACTOR_CHUNK else ATTRACTOR_CHUNK
-        kernels: dict[tuple[int, int], tuple] = {}
-        self._kernels: list[tuple] = []
-        self._windows: list[np.ndarray] = []
-        for i in range(ca.n):
-            rule = ca.rule_at(i)
-            width = int(ca._lengths[i])
-            key = (id(rule), width)
-            if key not in kernels:
-                kernels[key] = lower_bit_kernel(rule, width)
-            self._kernels.append(kernels[key])
-            self._windows.append(
-                np.asarray(ca._windows[i][:width], dtype=np.int64)
-            )
+        self._kernels, self._windows = lower_nodes(ca)
 
     @classmethod
     def supports(cls, ca) -> str | None:
@@ -160,20 +148,8 @@ class AttractorKernel:
             return "trajectory-plane packing assumes a little-endian host"
         if ca.n > MAX_ATTRACTOR_N:
             return f"n={ca.n} exceeds the attractor-direct ceiling {MAX_ATTRACTOR_N}"
-        seen: set[tuple[int, int]] = set()
-        for i in range(ca.n):
-            rule = ca.rule_at(i)
-            width = int(ca._lengths[i])
-            key = (id(rule), width)
-            if key in seen:
-                continue
-            seen.add(key)
-            if lower_bit_kernel(rule, width) is None:
-                return (
-                    f"node {i}: rule {rule.name} has no bitwise lowering "
-                    f"at window width {width}"
-                )
-        return None
+        lowered = lower_nodes(ca)
+        return lowered if isinstance(lowered, str) else None
 
     def describe(self) -> str:
         return f"attractor[{self.quotient.describe()}]"

@@ -2,12 +2,13 @@
 
 A *sweep backend* computes whole-phase-space maps — the packed parallel
 successor of every configuration in a range, or the packed single-node
-(sequential) successors — for one bound automaton.  The engine
-(:class:`repro.core.automaton.CellularAutomaton`) delegates its chunked
-``step_all_range`` / ``node_successors`` hot paths to its backend, so the
-governed builders in :mod:`repro.core.phase_space` and
-:mod:`repro.core.nondet` are backend-agnostic: budgets, frontiers and
-resume semantics are identical whichever kernel does the arithmetic.
+(sequential) successors — for one bound automaton.  Every successor
+sweep of the engine (:class:`repro.core.automaton.CellularAutomaton`)
+and of the governed builders in :mod:`repro.core.phase_space` and
+:mod:`repro.core.nondet` runs through one loop,
+:meth:`SweepBackend.governed_sweep`, which the sharded backend overrides:
+budgets, frontiers and resume semantics are identical whichever kernel
+does the arithmetic.
 
 Backends are duck-typed against the automaton: they read ``ca.n``,
 ``ca._windows`` / ``ca._lengths`` (the padded window matrix, sentinel
@@ -64,12 +65,12 @@ class SweepBackend:
     """
 
     name = "?"
-    #: True for backends that split sweeps across worker processes; the
-    #: governed builders hand those the whole range at once instead of
-    #: driving the chunk loop themselves.  Sharded backends own their
-    #: workers' failure semantics: a worker death must never corrupt the
-    #: governed prefix — the backend either heals (re-dispatching the
-    #: lost shards, possibly serially) or raises a typed error
+    #: True for backends that split sweeps across worker processes: their
+    #: :meth:`governed_sweep` also drives counts kernels
+    #: (:mod:`repro.perf.counts`).  Sharded backends own their workers'
+    #: failure semantics: a worker death must never corrupt the governed
+    #: prefix — the backend either heals (re-dispatching the lost shards,
+    #: possibly serially) or raises a typed error
     #: (``repro.perf.supervise.ShardFailed``); it never hangs and never
     #: returns a range it did not fully compute.
     is_sharded = False
@@ -111,6 +112,43 @@ class SweepBackend:
     def transient_bytes(self) -> int:
         """Peak per-chunk scratch bytes (for deterministic budget charging)."""
         raise NotImplementedError
+
+    # -- the successor loop ----------------------------------------------------
+
+    def governed_sweep(
+        self,
+        out: np.ndarray,
+        budget,
+        *,
+        fill,
+        start: int = 0,
+        per_state: int = 0,
+    ) -> tuple[int, str | None]:
+        """Fill ``out[start:]`` with ``fill(lo, hi)``, one ``CHUNK`` at a time.
+
+        Before each chunk the budget must have room for this backend's
+        scratch plus ``per_state`` bytes per configuration; the chunk is
+        then filled and charged as states (and those bytes).  Returns
+        ``(next_lo, reason)``: ``reason`` is None when the sweep completed,
+        else the trip reason, and ``next_lo`` is the first unfilled
+        configuration — the honest resume point.
+        """
+        # Lazy import: repro.harness imports the checkpoint layer, which
+        # imports the engine that imports this module.
+        from repro.harness import faults
+
+        total = int(out.shape[0])
+        transient = self.transient_bytes()
+        for lo in range(start, total, CHUNK):
+            hi = min(lo + CHUNK, total)
+            pending = transient + per_state * (hi - lo)
+            reason = budget.over(pending_bytes=pending)
+            if reason is not None:
+                return lo, reason
+            faults.inject("sweep.chunk")
+            out[lo:hi] = fill(lo, hi)
+            budget.charge(states=hi - lo, bytes_=per_state * (hi - lo))
+        return total, None
 
 
 class NumpyBackend(SweepBackend):

@@ -35,6 +35,7 @@ from repro.perf.base import CHUNK, BackendUnsupported, SweepBackend
 __all__ = [
     "BitplaneBackend",
     "lower_bit_kernel",
+    "lower_nodes",
     "eval_bit_kernel",
     "MAX_SOP_WIDTH",
 ]
@@ -76,6 +77,33 @@ def lower_bit_kernel(rule, width: int):
         except ValueError:
             return None
     return None
+
+
+def lower_nodes(ca):
+    """Every node's lowered kernel and input window, or why not.
+
+    Returns ``(kernels, windows)`` — per node ``i`` the
+    :func:`lower_bit_kernel` spec of its rule (lowered once per distinct
+    rule and width) and its window of ``ca._lengths[i]`` source bits — or
+    the reason string for the first node whose rule has no lowering.
+    """
+    lowered: dict[tuple[int, int], tuple | None] = {}
+    kernels: list[tuple] = []
+    windows: list[np.ndarray] = []
+    for i in range(ca.n):
+        rule = ca.rule_at(i)
+        width = int(ca._lengths[i])
+        key = (id(rule), width)
+        if key not in lowered:
+            lowered[key] = lower_bit_kernel(rule, width)
+        if lowered[key] is None:
+            return (
+                f"node {i}: rule {rule.name} has no bitwise lowering "
+                f"at window width {width}"
+            )
+        kernels.append(lowered[key])
+        windows.append(np.asarray(ca._windows[i][:width], dtype=np.int64))
+    return kernels, windows
 
 
 def _minterm_or(
@@ -154,20 +182,8 @@ class BitplaneBackend(SweepBackend):
     def supports(cls, ca) -> str | None:
         if sys.byteorder != "little":  # pragma: no cover - exotic hosts
             return "bit-plane packing assumes a little-endian host"
-        seen: set[tuple[int, int]] = set()
-        for i in range(ca.n):
-            rule = ca.rule_at(i)
-            width = int(ca._lengths[i])
-            key = (id(rule), width)
-            if key in seen:
-                continue
-            seen.add(key)
-            if lower_bit_kernel(rule, width) is None:
-                return (
-                    f"node {i}: rule {rule.name} has no bitwise lowering "
-                    f"at window width {width}"
-                )
-        return None
+        lowered = lower_nodes(ca)
+        return lowered if isinstance(lowered, str) else None
 
     def __init__(self, ca):
         super().__init__(ca)
@@ -176,19 +192,7 @@ class BitplaneBackend(SweepBackend):
             raise BackendUnsupported(
                 f"bitplane backend cannot run {ca.describe()}: {reason}"
             )
-        kernels: dict[tuple[int, int], tuple] = {}
-        self._kernels: list[tuple] = []
-        self._windows: list[np.ndarray] = []
-        for i in range(ca.n):
-            rule = ca.rule_at(i)
-            width = int(ca._lengths[i])
-            key = (id(rule), width)
-            if key not in kernels:
-                kernels[key] = lower_bit_kernel(rule, width)
-            self._kernels.append(kernels[key])
-            self._windows.append(
-                np.asarray(ca._windows[i][:width], dtype=np.int64)
-            )
+        self._kernels, self._windows = lower_nodes(ca)
 
     # -- plane generation ------------------------------------------------------
 

@@ -12,7 +12,10 @@ order-independent and recomputable — see :mod:`repro.perf.supervise`):
 
 * every dispatched shard carries a :class:`~repro.perf.supervise.ShardLease`
   (holder pid, attempt count, stuck deadline); workers acknowledge each
-  shard with a ``start`` message and ship per-shard metric snapshots;
+  shard with a ``start`` message and ship per-shard metric snapshots, each
+  worker on its own result pipe — no lock is shared between workers, so a
+  worker killed mid-message cannot block its siblings (its pipe simply
+  reads to EOF);
 * the parent's wait loop reaps dead workers (``is_alive``/``exitcode``),
   returns their leased shards to the pending queue, SIGKILLs holders
   past their lease deadline, and respawns replacements up to a death
@@ -59,13 +62,13 @@ from __future__ import annotations
 
 import multiprocessing as mp
 import os
-import queue
 import signal
 import time
 import traceback
 import warnings
 from collections import deque
 from multiprocessing import shared_memory
+from multiprocessing.connection import wait
 
 import numpy as np
 
@@ -130,13 +133,14 @@ def _flush_snapshot() -> dict:
     return snapshot
 
 
-def _worker_main(wid, inner, task_q, result_q, cancel, kernel=None) -> None:
+def _worker_main(wid, fill, task_q, conn, cancel, kernel=None) -> None:
     """Worker loop: shards in, per-shard completions + metric deltas out.
 
-    ``inner`` is the parent's fully constructed serial backend, inherited
-    by fork (rules never cross a pickle boundary); ``kernel`` is the
-    counts kernel (:mod:`repro.perf.counts`) of ``mode == "counts"``
-    shards, inherited the same way.  Kernel exceptions are caught and
+    ``fill(lo, hi)`` is the parent's successor-range callable, inherited by
+    fork (rules never cross a pickle boundary); ``kernel`` is the counts
+    kernel (:mod:`repro.perf.counts`) of a counts sweep, inherited the
+    same way.  Results go out on ``conn``, this worker's own pipe, so no
+    lock is shared with its siblings.  Kernel exceptions are caught and
     shipped as structured ``error`` results — a worker only dies from the
     outside (SIGKILL, OOM) or from a ``worker-crash`` fault.  Metrics are
     flushed alongside every shard completion, so an abnormal death loses
@@ -149,11 +153,11 @@ def _worker_main(wid, inner, task_q, result_q, cancel, kernel=None) -> None:
     while True:
         task = task_q.get()
         if task is None:
-            result_q.put(("metrics", os.getpid(), _flush_snapshot()))
+            conn.send(("metrics", os.getpid(), _flush_snapshot()))
             return
-        sid, mode, node, lo, hi, shm_name = task
+        sid, lo, hi, shm_name = task
         pid = os.getpid()
-        result_q.put(("start", sid, pid))
+        conn.send(("start", sid, pid))
         try:
             faults.inject(f"perf.worker.w{wid}.dispatch")
             # Forked workers share the parent's resource tracker, so
@@ -161,7 +165,7 @@ def _worker_main(wid, inner, task_q, result_q, cancel, kernel=None) -> None:
             shm = shared_memory.SharedMemory(name=shm_name)
             try:
                 ok = True
-                if mode == "counts":
+                if kernel is not None:
                     out = np.ndarray(
                         kernel.counts_slots, dtype=np.int64, buffer=shm.buf
                     )
@@ -179,20 +183,16 @@ def _worker_main(wid, inner, task_q, result_q, cancel, kernel=None) -> None:
                         break
                     faults.inject(f"perf.worker.w{wid}.chunk")
                     chi = min(clo + chunk, hi)
-                    if mode == "counts":
+                    if kernel is not None:
                         kernel.merge(out, kernel.census_range(clo, chi))
-                    elif mode == "step":
-                        out[clo - lo : chi - lo] = inner.step_all_range(clo, chi)
                     else:
-                        out[clo - lo : chi - lo] = inner.node_successors_range(
-                            node, clo, chi
-                        )
+                        out[clo - lo : chi - lo] = fill(clo, chi)
                 del out
             finally:
                 shm.close()
             faults.inject(f"perf.worker.w{wid}.premerge")
         except Exception as exc:
-            result_q.put(
+            conn.send(
                 (
                     "error",
                     sid,
@@ -203,7 +203,25 @@ def _worker_main(wid, inner, task_q, result_q, cancel, kernel=None) -> None:
                 )
             )
             continue
-        result_q.put(("done", sid, pid, ok, _flush_snapshot()))
+        conn.send(("done", sid, pid, ok, _flush_snapshot()))
+
+
+def _receive(conns: list, timeout: float) -> list:
+    """Messages from the result pipes in ``conns`` that are ready within
+    ``timeout`` seconds, one per ready pipe.
+
+    A pipe is removed from ``conns`` (and closed) only at its end of file:
+    its worker has exited and every message it sent has been read.  A
+    message torn by the writer's death reads as that end of file.
+    """
+    msgs = []
+    for conn in wait(conns, timeout=timeout):
+        try:
+            msgs.append(conn.recv())
+        except (EOFError, OSError):
+            conns.remove(conn)
+            conn.close()
+    return msgs
 
 
 class ProcessBackend(SweepBackend):
@@ -301,21 +319,20 @@ class ProcessBackend(SweepBackend):
         out: np.ndarray,
         budget,
         *,
+        fill=None,
         start: int = 0,
         per_state: int = 0,
-        mode: str = "step",
-        node: int | None = None,
-        on_prefix=None,
         kernel=None,
         total: int | None = None,
     ) -> tuple[int, str | None]:
-        """Fill ``out[start:]`` by sharding across the supervised pool.
+        """Fill ``out[start:]`` with ``fill(lo, hi)``, sharded across the
+        supervised pool.
 
         Returns ``(next_lo, reason)``: ``reason`` is None when the sweep
         completed, else the budget trip reason and ``next_lo`` the end of
         the contiguous completed-and-charged prefix — the honest resume
-        point.  ``on_prefix(lo, hi)`` fires in order as the prefix grows
-        (the phase-space builder streams fixed-point counts through it).
+        point.  Workers inherit ``fill`` by fork and call it one ``CHUNK``
+        at a time; any worker may compute any shard.
 
         Given a counts ``kernel`` (:mod:`repro.perf.counts`), the sweep
         shards the range ``[start, total)`` of that kernel instead: ``out``
@@ -332,7 +349,6 @@ class ProcessBackend(SweepBackend):
         """
         counts = kernel is not None
         if counts:
-            mode = "counts"
             align, parts = kernel.shard_align, kernel.shards_per_worker
             transient = self.workers * kernel.transient_bytes()
         else:
@@ -363,18 +379,25 @@ class ProcessBackend(SweepBackend):
             pass
 
         ctx = mp.get_context("fork")
-        result_q: mp.Queue = ctx.Queue()
         cancel = ctx.Event()
         nworkers = min(self.workers, len(shards))
+        #: read ends of the workers' result pipes, until each reaches EOF
+        conns: list = []
+        inbox: deque = deque()  # received, not yet handled
 
         def _spawn(wid: int) -> WorkerHandle:
             task_q = ctx.SimpleQueue()
+            reader, writer = ctx.Pipe(duplex=False)
             proc = ctx.Process(
                 target=_worker_main,
-                args=(wid, self._inner, task_q, result_q, cancel, kernel),
+                args=(wid, fill, task_q, writer, cancel, kernel),
                 daemon=True,
             )
             proc.start()
+            # The worker now holds the only write end, so its exit (or
+            # death) reads as EOF here.
+            writer.close()
+            conns.append(reader)
             return WorkerHandle(wid, proc, task_q)
 
         supervisor = Supervisor(
@@ -389,7 +412,7 @@ class ProcessBackend(SweepBackend):
 
         with obs.span(
             "perf.process.sweep",
-            mode=mode,
+            mode="counts" if counts else "fill",
             total=total,
             start=start,
             shards=len(shards),
@@ -418,8 +441,6 @@ class ProcessBackend(SweepBackend):
                         # so a truncated accumulator matches what a serial
                         # resume from ``next_lo`` would rebuild exactly.
                         kernel.merge(out, shard_counts.pop(next_merge))
-                    if on_prefix is not None:
-                        on_prefix(lo, hi)
                     next_merge += 1
 
             def _admit(lo: int, hi: int) -> str | None:
@@ -458,12 +479,8 @@ class ProcessBackend(SweepBackend):
                         faults.inject("perf.process.fallback")
                         if counts:
                             shard_counts[sid] = kernel.census_range(lo, hi)
-                        elif mode == "step":
-                            out[lo:hi] = self._inner.step_all_range(lo, hi)
                         else:
-                            out[lo:hi] = self._inner.node_successors_range(
-                                node, lo, hi
-                            )
+                            out[lo:hi] = fill(lo, hi)
                     except Exception as exc:
                         lease.fail(None, repr(exc), traceback.format_exc())
                         raise ShardFailed(
@@ -612,7 +629,7 @@ class ProcessBackend(SweepBackend):
                             lease.shm_name = shm.name
                             uncharged += hi - lo
                         if not supervisor.assign(
-                            lease, (sid, mode, node, lo, hi, lease.shm_name)
+                            lease, (sid, lo, hi, lease.shm_name)
                         ):  # pragma: no cover - capacity raced a death
                             break
                         pending.popleft()
@@ -646,9 +663,9 @@ class ProcessBackend(SweepBackend):
                             # prefix) so the trip returns promptly.
                             break
 
-                    try:
-                        msg = result_q.get(timeout=_POLL_S)
-                    except queue.Empty:
+                    if not inbox:
+                        inbox.extend(_receive(conns, _POLL_S))
+                    if not inbox:
                         # Zero-state ping so an attached progress reporter
                         # keeps emitting heartbeats while shards run
                         # elsewhere and nothing is being charged here.
@@ -659,6 +676,7 @@ class ProcessBackend(SweepBackend):
                             reason = budget.over()
                         continue
 
+                    msg = inbox.popleft()
                     kind = msg[0]
                     if kind == "start":
                         _, sid, pid = msg
@@ -733,18 +751,16 @@ class ProcessBackend(SweepBackend):
                 )
                 if lost:
                     obs.inc("perf.process.snapshots_lost", lost)
-                # Fold the final (and any straggler) snapshots in.
-                while True:
-                    try:
-                        msg = result_q.get_nowait()
-                    except queue.Empty:
-                        break
-                    if msg[0] == "metrics":
-                        obs.REGISTRY.merge_snapshot(msg[2])
-                    elif msg[0] == "done":
-                        obs.REGISTRY.merge_snapshot(msg[4])
-                    elif msg[0] == "error":
-                        obs.REGISTRY.merge_snapshot(msg[5])
+                # Fold the final (and any straggler) snapshots in: every
+                # worker has exited, so each pipe reads to its EOF.
+                drain_until = time.monotonic() + _SHUTDOWN_GRACE_S
+                while conns and time.monotonic() < drain_until:
+                    inbox.extend(_receive(conns, _POLL_S))
+                for conn in conns:
+                    conn.close()
+                for msg in inbox:
+                    if msg[0] != "start":  # the rest end in a snapshot
+                        obs.REGISTRY.merge_snapshot(msg[-1])
                 for shm in inflight.values():
                     shm.close()
                     shm.unlink()

@@ -178,19 +178,28 @@ class TestWholeSpaceSweeps:
         mat = ca.all_node_successors()
         assert mat.shape == (4, 16)
 
-    def test_step_all_spans_chunks(self):
-        # Force the chunked path (> _CHUNK configs) with a large ring.
-        import repro.core.automaton as auto_mod
+    def test_step_all_spans_chunks(self, monkeypatch):
+        # Force the chunked path (> CHUNK configs) of the one successor
+        # loop, for both sweeps the engine runs through it.
+        import repro.perf.base as base_mod
 
-        old_chunk = auto_mod._CHUNK
-        auto_mod._CHUNK = 64
-        try:
-            ca = CellularAutomaton(Ring(9), MajorityRule())
-            succ = ca.step_all()
-        finally:
-            auto_mod._CHUNK = old_chunk
-        ca2 = CellularAutomaton(Ring(9), MajorityRule())
-        np.testing.assert_array_equal(succ, ca2.step_all())
+        ref = CellularAutomaton(Ring(9), MajorityRule())
+        want_step, want_node = ref.step_all(), ref.node_successors(4)
+        monkeypatch.setattr(base_mod, "CHUNK", 64)
+        ca = CellularAutomaton(Ring(9), MajorityRule())
+        calls: list[str] = []
+        for name in ("step_all_range", "node_successors_range"):
+            kernel = getattr(ca.backend, name)
+
+            def counted(*args, kernel=kernel, name=name):
+                calls.append(name)
+                return kernel(*args)
+
+            monkeypatch.setattr(ca.backend, name, counted)
+        np.testing.assert_array_equal(ca.step_all(), want_step)
+        np.testing.assert_array_equal(ca.node_successors(4), want_node)
+        assert calls.count("step_all_range") == 512 // 64
+        assert calls.count("node_successors_range") == 512 // 64
 
     def test_step_all_refuses_huge(self):
         ca = CellularAutomaton(Ring(5), MajorityRule())

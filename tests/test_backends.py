@@ -12,6 +12,8 @@ trips must yield the same resumable frontier whichever kernel runs.
 
 from __future__ import annotations
 
+import hashlib
+
 import networkx as nx
 import numpy as np
 import pytest
@@ -19,8 +21,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.automaton import CellularAutomaton
-from repro.core.budget import Budget, CancelToken
+from repro.core.budget import Budget, BudgetExceeded, CancelToken, use_budget
 from repro.core.heterogeneous import HeterogeneousCA
+from repro.core.nondet import build_nondet_phase_space
 from repro.core.phase_space import PhaseSpace, build_phase_space
 from repro.core.rules import (
     MajorityRule,
@@ -218,6 +221,43 @@ class TestProcessBackend:
     def test_describe_names_inner_kernel(self):
         ca = make_ca(Ring(12), MajorityRule(), backend="process", workers=3)
         assert ca.backend.describe() == "process[bitplane x3]"
+
+    @pytest.mark.parametrize("n", [12, 17])  # one, then two chunks per row
+    def test_sequential_states_trip_matches_serial(self, n):
+        # The build charges each row once, whichever backend fills it, so
+        # a states cap stops the sharded build at the serial build's row.
+        def fingerprint(backend):
+            ca = make_ca(Ring(n), MajorityRule(), backend=backend, workers=2)
+            p = build_nondet_phase_space(
+                ca, budget=Budget(max_states=int(1.5 * 2**n) + 5)
+            )
+            assert not p.complete and p.reason.startswith("states")
+            meta = {k: v for k, v in p.frontier.items() if k != "succ"}
+            rows = np.ascontiguousarray(
+                p.frontier["succ"][: p.frontier["next_row"]]
+            )
+            return meta, p.stats, hashlib.sha256(rows.tobytes()).hexdigest()
+
+        serial = fingerprint("bitplane")
+        assert serial[1]["rows_done"] == 2
+        assert fingerprint("process") == serial
+
+    @pytest.mark.parametrize("backend", ["bitplane", "process"])
+    def test_ungoverned_sweeps_charge_nothing(self, backend):
+        # step_all / node_successors see only the ambient cancel token and
+        # deadline: no caps apply and nothing is charged.
+        ca = make_ca(Ring(12), MajorityRule(), backend=backend, workers=2)
+        budget = Budget(max_states=1000)
+        with use_budget(budget):
+            ca.step_all()
+            ca.node_successors(0)
+        assert budget.states_used == 0 and budget.bytes_held == 0
+        budget.token.cancel("stop")
+        with use_budget(budget):
+            with pytest.raises(BudgetExceeded, match="cancelled: stop"):
+                ca.step_all()
+            with pytest.raises(BudgetExceeded, match="cancelled: stop"):
+                ca.node_successors(0)
 
 
 class TestGovernedTripEquivalence:

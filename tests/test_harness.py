@@ -532,7 +532,7 @@ class TestBudgetGovernance:
         # watchdog backstop (grace set absurdly high to prove which one
         # acted).
         monkeypatch.setenv("REPRO_FAULT_HANG_S", "0.6")
-        install("phase_space.chunk:stall:1.0:0")
+        install("sweep.chunk:stall:1.0:0")
         cfg = RunnerConfig(timeout_s=0.25, grace_s=30.0)
         res = ExperimentRunner(cfg).run_one("E1")
         assert res["status"] == "timeout"

@@ -21,8 +21,10 @@ from __future__ import annotations
 
 import multiprocessing as mp
 import os
+import signal
 import time
 import warnings
+from multiprocessing.connection import wait
 
 import numpy as np
 import pytest
@@ -193,7 +195,10 @@ class TestDegradation:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             next_lo, reason = backend.governed_sweep(
-                out, Budget(max_states=1 << 16), per_state=8
+                out,
+                Budget(max_states=1 << 16),
+                fill=backend.step_all_range,
+                per_state=8,
             )
         assert reason is not None and reason.startswith("states")
         assert 0 < next_lo < (1 << N)
@@ -230,7 +235,7 @@ class TestHangs:
         out = np.empty(1 << N, dtype=np.int64)
         start = time.monotonic()
         next_lo, reason = backend.governed_sweep(
-            out, Budget(wall_s=1.0), per_state=8
+            out, Budget(wall_s=1.0), fill=backend.step_all_range, per_state=8
         )
         assert time.monotonic() - start < 20
         assert reason is not None and reason.startswith("deadline")
@@ -243,7 +248,10 @@ class TestHangs:
         backend = ProcessBackend(make_ca("numpy"), inner="numpy", workers=2)
         out = np.empty(1 << N, dtype=np.int64)
         next_lo, reason = backend.governed_sweep(
-            out, Budget(max_states=1 << 16), per_state=8
+            out,
+            Budget(max_states=1 << 16),
+            fill=backend.step_all_range,
+            per_state=8,
         )
         assert reason is not None and reason.startswith("states")
         assert next_lo == 1 << 16
@@ -268,6 +276,43 @@ class TestSnapshots:
             got = make_ca("process", workers=2).step_all()
         assert np.array_equal(got, serial_ref)
         assert counters().get("perf.process.snapshots_lost", 0) == 2
+
+
+class TestResultPipes:
+    """Each worker writes its own pipe: one death never blocks the rest."""
+
+    def test_writer_killed_mid_message_leaves_other_pipes_live(self):
+        ctx = mp.get_context("fork")
+        big = b"x" * (1 << 20)  # far past the pipe buffer: send blocks
+
+        def writer(conn, tag):
+            conn.send((tag, big))
+            conn.send((tag, "tail"))
+
+        conns, procs = [], []
+        for tag in range(3):
+            reader, end = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=writer, args=(end, tag), daemon=True)
+            proc.start()
+            end.close()
+            conns.append(reader)
+            procs.append(proc)
+        # Nobody reads yet, so writer 0 is stuck inside its 1 MiB send.
+        assert wait([conns[0]], timeout=10)
+        os.kill(procs[0].pid, signal.SIGKILL)
+        procs[0].join(10)
+        assert procs[0].exitcode == -signal.SIGKILL
+        got = []
+        deadline = time.monotonic() + 30
+        while conns and time.monotonic() < deadline:
+            got.extend(procmod._receive(conns, 0.1))
+        assert conns == []  # every pipe read to EOF, the torn one too
+        assert sorted(got, key=repr) == sorted(
+            [(1, big), (1, "tail"), (2, big), (2, "tail")], key=repr
+        )
+        for proc in procs[1:]:
+            proc.join(10)
+            assert proc.exitcode == 0
 
 
 class TestKnobValidation:
