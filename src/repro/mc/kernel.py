@@ -41,6 +41,7 @@ from repro.mc.estimators import (
 from repro.perf.base import BackendUnsupported
 from repro.perf.bitplane import eval_bit_kernel, lower_bit_kernel
 from repro.spaces.line import Ring
+from repro.util.bitops import lane_counts, unpack_lanes
 
 __all__ = ["McKernel", "MC_TILE_WORDS", "count_threshold"]
 
@@ -69,13 +70,6 @@ def count_threshold(rule, width: int):
         t = rule.function.as_count_threshold()
         return None if t is None else int(t)
     return None
-
-
-def _lane_bools(mask: np.ndarray, lanes: int) -> np.ndarray:
-    """Per-lane booleans of a ``(nwords,)`` uint64 lane mask."""
-    return np.unpackbits(
-        np.ascontiguousarray(mask).view(np.uint8), bitorder="little"
-    )[:lanes].astype(bool)
 
 
 class McKernel:
@@ -315,19 +309,6 @@ class McKernel:
             + (self.n if self.memory else 0)
         )
 
-    def _lane_popcount(self, planes: np.ndarray) -> np.ndarray:
-        """Per-lane column sums (int64) of a bitplane array."""
-        out = np.zeros(self.lanes, dtype=np.int64)
-        rows = max(1, (1 << 22) // max(1, self.lanes))
-        for lo in range(0, planes.shape[0], rows):
-            bits = np.unpackbits(
-                np.ascontiguousarray(planes[lo : lo + rows]).view(np.uint8),
-                axis=1,
-                bitorder="little",
-            )[:, : self.lanes]
-            out += bits.sum(axis=0, dtype=np.int64)
-        return out
-
     def energy2(self, planes: np.ndarray) -> np.ndarray:
         """Per-lane ``E2(x, x) = -x^T W x + 2 theta . x`` (int64).
 
@@ -339,10 +320,14 @@ class McKernel:
             raise BackendUnsupported(
                 f"rule {self.rule.name} has no threshold form; energy disabled"
             )
-        ones = self._lane_popcount(planes)
+        ones = lane_counts(planes, self.lanes)
         acc = 2 * self.theta * ones
+        pairs = np.empty_like(planes)
         for d in range(1, self.radius + 1):
-            acc -= 2 * self._lane_popcount(planes & np.roll(planes, -d, axis=0))
+            # pairs[i] = x[i] & x[(i + d) % n]; the last d rows wrap around.
+            np.bitwise_and(planes[:-d], planes[d:], out=pairs[:-d])
+            np.bitwise_and(planes[-d:], planes[:d], out=pairs[-d:])
+            acc -= 2 * lane_counts(pairs, self.lanes)
         if self.memory:
             acc -= ones
         return acc
@@ -381,19 +366,19 @@ class McKernel:
             if live_fp.any():
                 fp_mask |= live_fp
                 done |= live_fp
-                conv_t[_lane_bools(live_fp, self.lanes)] = t
+                conv_t[unpack_lanes(live_fp, self.lanes)] = t
             if prev is not None:
                 live_2c = ~self._lane_diff(prev, nxt) & ~done
                 if live_2c.any():
                     two_mask |= live_2c
                     done |= live_2c
-                    conv_t[_lane_bools(live_2c, self.lanes)] = t - 1
+                    conv_t[unpack_lanes(live_2c, self.lanes)] = t - 1
             if (done == _ONES).all():
                 cur = nxt
                 break
             prev, cur = cur, nxt
-        fp = _lane_bools(fp_mask, self.lanes)
-        two = _lane_bools(two_mask, self.lanes)
+        fp = unpack_lanes(fp_mask, self.lanes)
+        two = unpack_lanes(two_mask, self.lanes)
         decided = fp | two
         counts[IDX["samples"]] += self.lanes
         counts[IDX["fixed_point"]] += int(fp.sum())

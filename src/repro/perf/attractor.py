@@ -26,6 +26,7 @@ import numpy as np
 
 from repro.perf.base import CHUNK, MAX_ATTRACTOR_N, BackendUnsupported
 from repro.perf.bitplane import eval_bit_kernel, lower_nodes
+from repro.util.bitops import pack_lanes, unpack_lanes
 
 __all__ = [
     "AttractorKernel",
@@ -83,16 +84,6 @@ def merge_counts(acc: np.ndarray, delta: np.ndarray) -> np.ndarray:
     acc[_MAX_IDX] = max(acc[_MAX_IDX], delta[_MAX_IDX])
     acc[_MAX_IDX + 1 :] += delta[_MAX_IDX + 1 :]
     return acc
-
-
-def _pack_lane_mask(mask: np.ndarray) -> np.ndarray:
-    """Per-lane booleans (length a multiple of 64) to ``uint64`` words."""
-    return np.packbits(mask.astype(np.uint8), bitorder="little").view(np.uint64)
-
-
-def _unpack_lane_mask(words: np.ndarray) -> np.ndarray:
-    """``uint64`` words back to per-lane booleans."""
-    return np.unpackbits(words.view(np.uint8), bitorder="little").astype(bool)
 
 
 class AttractorKernel:
@@ -161,13 +152,10 @@ class AttractorKernel:
 
     def _make_planes(self, codes: np.ndarray) -> list[np.ndarray]:
         """Pack lane codes (length a multiple of 64) into ``n`` bit planes."""
-        planes = []
-        for j in range(self.n):
-            bits = ((codes >> np.uint64(j)) & np.uint64(1)).astype(np.uint8)
-            planes.append(
-                np.packbits(bits, bitorder="little").view(np.uint64)
-            )
-        return planes
+        return [
+            pack_lanes(((codes >> np.uint64(j)) & np.uint64(1)).astype(np.uint8))
+            for j in range(self.n)
+        ]
 
     def _step(self, planes: list[np.ndarray]) -> list[np.ndarray]:
         """One synchronous global step of every lane."""
@@ -233,7 +221,7 @@ class AttractorKernel:
         active = np.ones(m64, dtype=bool)
         lam_out = np.zeros(m64, dtype=np.int64)
         while True:
-            eq = ~_unpack_lane_mask(self._neq_words(tort, hare))
+            eq = ~unpack_lanes(self._neq_words(tort, hare), active.size)
             done = active & eq
             if done.any():
                 lam_out[lane_idx[done]] = lam[done]
@@ -256,7 +244,7 @@ class AttractorKernel:
                     active = active[sel]
             teleport = active & (power == lam)
             if teleport.any():
-                mask = _pack_lane_mask(teleport)
+                mask = pack_lanes(teleport)
                 self._blend(tort, hare, mask)
                 power[teleport] <<= 1
                 lam[teleport] = 0
@@ -287,9 +275,9 @@ class AttractorKernel:
                     break
                 active = rem > 0
             stepped = self._step(cur)
-            self._blend(cur, stepped, _pack_lane_mask(active))
+            self._blend(cur, stepped, pack_lanes(active))
             rem -= active
-        return ~_unpack_lane_mask(self._neq_words(final, x0))
+        return ~unpack_lanes(self._neq_words(final, x0), lam.size)
 
     # -- census ----------------------------------------------------------------
 

@@ -415,6 +415,49 @@ def check_mc_sampler(inst: Instance):
     return None
 
 
+def check_mc_energy(inst: Instance):
+    """MC kernel's integer energy vs the scalar sequential Lyapunov.
+
+    Per lane of one 64-lane uniform batch, ``McKernel.energy2`` must be
+    exactly twice :meth:`~repro.core.energy.ThresholdNetwork.sequential_energy`
+    of the lane's configuration.  Runs wherever the rule has a count
+    threshold.  On the fuzzer's small rings the ``d`` wrap-around rows of
+    each neighbour AND ``x & (x shifted by d)`` carry a large share of the
+    sum, which is what the ``mc-energy-wrap-drop`` mutant drops.
+    """
+    from repro.core.energy import ThresholdNetwork
+    from repro.mc import sampler
+    from repro.mc.kernel import McKernel
+    from repro.qa.generators import mc_applicable
+
+    if mc_applicable(inst.spec) is not None:
+        return None
+    n = inst.ca.n
+    lanes = 64
+    kernel = McKernel.from_automaton(inst.ca, seed=inst.spec.seed, lanes=lanes)
+    if kernel.theta is None:
+        return None  # no count threshold, so no energy
+    net = ThresholdNetwork.from_automaton(inst.ca)
+    planes = sampler.sample_planes("uniform", n, lanes, inst.spec.seed, 0)
+    codes = _mc_lane_codes(planes, n, lanes)
+    expected = np.array(
+        [2 * net.sequential_energy(int_to_bits(int(c), n)) for c in codes],
+        dtype=np.int64,
+    )
+    got = kernel.energy2(planes)
+    bad = np.flatnonzero(got != expected)
+    if bad.size:
+        shown = bad[:_MAX_DIFF_CODES]
+        return {
+            "vs": "sequential_energy",
+            "mismatches": int(bad.size),
+            "codes": [int(codes[lane]) for lane in shown],
+            "expected": [int(expected[lane]) for lane in shown],
+            "got": [int(got[lane]) for lane in shown],
+        }
+    return None
+
+
 from repro.qa.oracles import ORACLE_CHECKS  # noqa: E402  (registry assembly)
 
 DIFFERENTIAL_CHECKS = {
@@ -426,6 +469,7 @@ DIFFERENTIAL_CHECKS = {
     "differential.attractor_census": check_attractor_census,
     "differential.mc_step": check_mc_step,
     "differential.mc_sampler": check_mc_sampler,
+    "differential.mc_energy": check_mc_energy,
 }
 
 #: full registry, in deterministic execution order

@@ -19,6 +19,7 @@ import repro.mc.sampler as mc_sampler
 import repro.perf.attractor as attractor
 import repro.perf.bitplane as bitplane
 from repro.mc.kernel import McKernel
+from repro.util.bitops import lane_counts
 
 __all__ = ["MUTANTS", "active_mutant"]
 
@@ -135,6 +136,31 @@ def _mutant_mc_sweep_level_merge():
     return [(McKernel, "_sweep_plan", _sweep_plan)]
 
 
+def _mutant_mc_energy_wrap_drop():
+    """MC energy's neighbour AND leaves out its ``d`` wrap-around rows.
+
+    Rows ``n - d .. n - 1`` pair with rows ``0 .. d - 1`` across the
+    ring's seam; a slice-built AND that forgets the second slice counts
+    a line, not a ring.  Classification never reads the energy, so only
+    ``differential.mc_energy`` (per-lane ``energy2`` against the scalar
+    sequential Lyapunov) can see it; on the fuzzer's small rings the seam
+    pairs are a large share of every lane's sum.
+    """
+
+    def energy2(self, planes):
+        ones = lane_counts(planes, self.lanes)
+        acc = 2 * self.theta * ones
+        for d in range(1, self.radius + 1):
+            # BUG: only x[i] & x[i + d] for i < n - d; the wrap is missing.
+            pairs = planes[:-d] & planes[d:]
+            acc -= 2 * lane_counts(pairs, self.lanes)
+        if self.memory:
+            acc -= ones
+        return acc
+
+    return [(McKernel, "energy2", energy2)]
+
+
 #: name -> patch factory returning [(class-or-module, attribute,
 #: replacement), ...]
 MUTANTS = {
@@ -143,6 +169,7 @@ MUTANTS = {
     "quotient-reflection-drop": _mutant_quotient_reflection_drop,
     "mc-sampler-tail-drop": _mutant_mc_sampler_tail_drop,
     "mc-sweep-level-merge": _mutant_mc_sweep_level_merge,
+    "mc-energy-wrap-drop": _mutant_mc_energy_wrap_drop,
 }
 
 

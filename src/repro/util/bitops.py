@@ -11,6 +11,11 @@ represent configurations both ways:
 The little-endian convention (node 0 -> bit 0) is used everywhere in the
 library; :func:`bits_to_int` and :func:`int_to_bits` are the only places the
 convention is spelled out.
+
+The SWAR kernels carry one configuration per *bit lane* instead: lane
+``j`` of a ``uint64`` word array is bit ``j % 64`` of word ``j // 64``.
+:func:`pack_lanes`, :func:`unpack_lanes` and :func:`lane_counts` convert
+between lane words and per-lane values.
 """
 
 from __future__ import annotations
@@ -30,6 +35,9 @@ __all__ = [
     "reverse_bits",
     "reverse_bits_array",
     "canonical_ring_form",
+    "pack_lanes",
+    "unpack_lanes",
+    "lane_counts",
     "config_str",
     "parse_config",
 ]
@@ -188,6 +196,70 @@ def canonical_ring_form(
         if refl is not None:
             np.minimum(best, rotate_bits_array(refl, n, shift), out=best)
     return best
+
+
+#: rows :func:`lane_counts` unpacks byte-wise instead of adding them in
+#: its adder tree (so rings of up to this many nodes never enter the tree)
+LANE_COUNT_TAIL_ROWS = 32
+
+
+def pack_lanes(bools: np.ndarray) -> np.ndarray:
+    """Per-lane booleans (length a multiple of 64) to ``uint64`` words."""
+    return np.packbits(bools, bitorder="little").view(np.uint64)
+
+
+def unpack_lanes(words: np.ndarray, lanes: int) -> np.ndarray:
+    """The first ``lanes`` per-lane booleans of ``uint64`` lane words."""
+    return np.unpackbits(
+        np.ascontiguousarray(words).view(np.uint8), count=lanes, bitorder="little"
+    ).astype(bool)
+
+
+def _add_unpacked(out: np.ndarray, digits: list[np.ndarray]) -> None:
+    """``out += sum_k 2**k * column sums of digits[k]`` (per lane)."""
+    lanes = out.size
+    for k, rows in enumerate(digits):
+        bits = np.unpackbits(
+            np.ascontiguousarray(rows).view(np.uint8), axis=1, bitorder="little"
+        )[:, :lanes]
+        out += bits.sum(axis=0, dtype=np.int64) << k
+
+
+def lane_counts(planes: np.ndarray, lanes: int) -> np.ndarray:
+    """Per-lane column sums (int64) of a ``(rows, nwords)`` lane-word array.
+
+    A bit-sliced adder tree.  The rows are binary numbers held as
+    little-endian digit planes (one digit to start with); each level adds
+    the top half of the rows to the bottom half by ripple-carry addition,
+    two numpy ops on the lowest digit plane and five on each higher one,
+    and grows one digit for the carry out.
+    An odd last row, and the at most :data:`LANE_COUNT_TAIL_ROWS` rows
+    left at the end, are unpacked and added digit by digit at their place
+    values, so the count is exact.
+    """
+    out = np.zeros(lanes, dtype=np.int64)
+    digits = [planes]
+    while digits[0].shape[0] > LANE_COUNT_TAIL_ROWS:
+        rows = digits[0].shape[0]
+        if rows % 2:
+            _add_unpacked(out, [d[-1:] for d in digits])
+        half = rows // 2
+        summed, carry = [], None
+        for d in digits:
+            a, b = d[:half], d[half : 2 * half]
+            if carry is None:  # half adder
+                summed.append(a ^ b)
+                carry = a & b
+            else:  # full adder
+                t = a ^ b
+                summed.append(t ^ carry)
+                t &= carry
+                carry = a & b
+                carry |= t
+        summed.append(carry)
+        digits = summed
+    _add_unpacked(out, digits)
+    return out
 
 
 def config_str(value: int, n: int) -> str:

@@ -11,6 +11,8 @@ from repro.util.bitops import (
     canonical_ring_form,
     config_str,
     int_to_bits,
+    lane_counts,
+    pack_lanes,
     parse_config,
     popcount,
     popcount_array,
@@ -18,6 +20,7 @@ from repro.util.bitops import (
     reverse_bits_array,
     rotate_bits,
     rotate_bits_array,
+    unpack_lanes,
 )
 
 
@@ -219,6 +222,61 @@ class TestCanonicalRingForm:
         np.testing.assert_array_equal(
             canonical_ring_form(reverse_bits_array(codes, 7), 7), canon
         )
+
+
+def _unpack_column_sums(planes, lanes):
+    """Reference per-lane count: unpack every word to bytes, then sum."""
+    bits = np.unpackbits(
+        np.ascontiguousarray(planes).view(np.uint8), axis=1, bitorder="little"
+    )[:, :lanes]
+    return bits.sum(axis=0, dtype=np.int64)
+
+
+class TestLaneCounts:
+    # Around the unpacked tail (32 rows), powers of two (all-ones rows at
+    # 2**k - 1, 2**k and 2**k + 1 drive the top carry) and odd row counts.
+    ROWS = [1, 2, 3, 31, 32, 33, 63, 64, 65, 1000, 1001, 4095, 4096, 4097]
+
+    @pytest.mark.parametrize("rows", ROWS)
+    @pytest.mark.parametrize("nwords", [1, 3, 8])
+    @pytest.mark.parametrize("fill", ["random", "ones"])
+    def test_matches_unpack_reference(self, rows, nwords, fill):
+        if fill == "ones":
+            planes = np.full((rows, nwords), np.uint64(0xFFFFFFFFFFFFFFFF))
+        else:
+            rng = np.random.default_rng([rows, nwords])
+            planes = rng.integers(
+                0, np.iinfo(np.uint64).max, size=(rows, nwords),
+                dtype=np.uint64, endpoint=True,
+            )
+        lanes = 64 * nwords
+        got = lane_counts(planes, lanes)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, _unpack_column_sums(planes, lanes))
+        if fill == "ones":
+            assert (got == rows).all()
+
+    def test_partial_last_word_and_input_untouched(self):
+        rng = np.random.default_rng(7)
+        planes = rng.integers(0, 1 << 63, size=(100, 2), dtype=np.uint64)
+        before = planes.copy()
+        got = lane_counts(planes, 100)
+        np.testing.assert_array_equal(got, _unpack_column_sums(planes, 100))
+        np.testing.assert_array_equal(planes, before)
+
+
+class TestLanePacking:
+    def test_roundtrip(self):
+        bools = np.random.default_rng(3).random(256) < 0.5
+        words = pack_lanes(bools)
+        assert words.dtype == np.uint64 and words.shape == (4,)
+        np.testing.assert_array_equal(unpack_lanes(words, 256), bools)
+        np.testing.assert_array_equal(unpack_lanes(words, 70), bools[:70])
+
+    def test_lane_j_is_bit_j_mod_64_of_word_j_div_64(self):
+        bools = np.zeros(128, dtype=bool)
+        bools[[0, 65, 127]] = True
+        assert pack_lanes(bools).tolist() == [1, 2 | (1 << 63)]
 
 
 class TestConfigStr:

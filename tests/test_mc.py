@@ -317,11 +317,23 @@ class TestDeterminism:
 
 
 class TestEnergy:
-    def test_energy2_is_twice_sequential_energy(self, mc_seed):
-        n, lanes = 10, 64
-        ca = CellularAutomaton(Ring(n), MajorityRule(), memory=True)
+    # n = 10 stays on lane_counts' unpacked tail; 37 and 200 rows go
+    # through one and three adder-tree levels (odd row counts included).
+    @pytest.mark.parametrize("n", [10, 37, 200])
+    @pytest.mark.parametrize("radius", [1, 2])
+    @pytest.mark.parametrize("memory", [True, False], ids=["mem", "nomem"])
+    @pytest.mark.parametrize(
+        "rule", [MajorityRule(), SimpleThresholdRule(2)], ids=["maj", "thr2"]
+    )
+    def test_energy2_is_twice_sequential_energy(
+        self, mc_seed, n, radius, memory, rule
+    ):
+        lanes = 64
+        ca = CellularAutomaton(Ring(n, radius=radius), rule, memory=memory)
         net = ThresholdNetwork.from_automaton(ca)
-        kernel = McKernel(MajorityRule(), n, seed=mc_seed, lanes=lanes)
+        kernel = McKernel(
+            rule, n, radius=radius, memory=memory, seed=mc_seed, lanes=lanes
+        )
         planes = sample_planes("uniform", n, lanes, mc_seed, 0)
         e2 = kernel.energy2(planes)
         for lane, state in enumerate(_lane_states(planes, n, lanes)):
@@ -456,6 +468,25 @@ class TestQaWiring:
             violation = run_check(spec, "differential.mc_step", ["numpy"])
         assert violation is not None and violation["path"] == "sweep"
         assert run_check(spec, "differential.mc_step", ["numpy"]) is None
+
+    @pytest.mark.parametrize("radius", [1, 2])
+    def test_energy_wrap_drop_mutant_is_caught(self, mc_seed, radius):
+        from repro.qa.differential import run_check
+        from repro.qa.mutants import MUTANTS, active_mutant
+
+        assert "mc-energy-wrap-drop" in MUTANTS
+        spec = _mc_spec(mc_seed, radius=radius)
+        assert run_check(spec, "differential.mc_energy", ["numpy"]) is None
+        with active_mutant("mc-energy-wrap-drop"):
+            violation = run_check(spec, "differential.mc_energy", ["numpy"])
+        assert violation is not None and violation["vs"] == "sequential_energy"
+        assert run_check(spec, "differential.mc_energy", ["numpy"]) is None
+
+    def test_energy_check_skips_rules_without_threshold(self, mc_seed):
+        from repro.qa.differential import run_check
+
+        spec = _mc_spec(mc_seed, rules=[{"kind": "xor"}])
+        assert run_check(spec, "differential.mc_energy", ["numpy"]) is None
 
 
 # -- CLI -----------------------------------------------------------------------
