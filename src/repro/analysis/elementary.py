@@ -80,6 +80,7 @@ def survey_rule(
     number: int,
     ring_sizes: tuple[int, ...] = (5, 6, 7, 8),
     backend: str | None = None,
+    workers: int | None = None,
 ) -> RuleProfile:
     """Full structural + dynamical profile of one elementary rule."""
     rule = WolframRule(number)
@@ -89,7 +90,8 @@ def survey_rule(
     sequential_cycles = False
     for n in ring_sizes:
         ca = CellularAutomaton(
-            Ring(n, radius=1), rule, memory=True, backend=backend
+            Ring(n, radius=1), rule, memory=True, backend=backend,
+            workers=workers,
         )
         ps = PhaseSpace.from_automaton(ca)
         lengths = ps.cycle_lengths()
@@ -114,10 +116,11 @@ def survey_rule(
 def survey_all_rules(
     ring_sizes: Iterable[int] = (5, 6, 7, 8),
     backend: str | None = None,
+    workers: int | None = None,
 ) -> list[RuleProfile]:
     """Profiles of all 256 elementary rules."""
     sizes = tuple(sorted(set(int(n) for n in ring_sizes)))
-    return [survey_rule(k, sizes, backend) for k in range(256)]
+    return [survey_rule(k, sizes, backend, workers) for k in range(256)]
 
 
 def survey_summary(profiles: list[RuleProfile]) -> dict[str, object]:

@@ -1,4 +1,4 @@
-"""Dihedral symmetry quotients of configuration and schedule space.
+"""Dihedral symmetry quotients of configuration space.
 
 A homogeneous rule on a ring commutes with the ring's symmetry group:
 rotations always, reflections exactly when the local rule is
@@ -7,9 +7,7 @@ cycle membership and cycle length are therefore *class functions* — they
 agree across a whole orbit — so an exact attractor census only needs one
 representative per orbit, weighted by the orbit size.  That is a ~2n×
 reduction in work, and it is what lifts the attractor-direct census past
-the materialized ``MAX_SWEEP_N`` ceiling (the Macauley–McCammond
-order-independence results in PAPERS.md justify the same quotient on the
-sequential side, which :func:`update_order_reps` applies to schedules).
+the materialized ``MAX_SWEEP_N`` ceiling.
 
 Representatives are *canonical*: the numerically least code in the orbit
 (:func:`repro.util.bitops.canonical_ring_form`).  Enumeration over a code
@@ -21,7 +19,6 @@ costs about ``2**n · ln n`` word operations rather than ``2**n · 2n``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 
 import numpy as np
 
@@ -32,8 +29,6 @@ __all__ = [
     "quotient_mode",
     "orbit_reps_in_range",
     "orbit_weights",
-    "canonical_update_order",
-    "update_order_reps",
 ]
 
 #: widest window whose truth table the mirror-symmetry probe will build
@@ -201,50 +196,3 @@ class QuotientSpec:
 
     def describe(self) -> str:
         return f"{self.mode} quotient (n={self.n})"
-
-
-# -- schedule-space quotient ---------------------------------------------------
-
-
-def canonical_update_order(
-    order, n: int, reflections: bool = True
-) -> tuple[int, ...]:
-    """Least dihedral conjugate of a sequential update order.
-
-    A rotation ``sigma_s`` (or mirror ``mu``) of the ring conjugates the
-    composed sequential map: updating nodes ``(pi_0, pi_1, ...)`` on a
-    configuration is equivalent to updating ``(sigma(pi_0), ...)`` on the
-    rotated configuration.  Conjugate schedules therefore share every
-    attractor statistic, and the least image under the group is a
-    canonical representative — a ~2n× reduction of the schedule census.
-    """
-    order = tuple(int(i) % n for i in order)
-    best = order
-    for s in range(n):
-        rot = tuple((i + s) % n for i in order)
-        best = min(best, rot)
-        if reflections:
-            best = min(best, tuple((n - 1 - i + s) % n for i in order))
-    return best
-
-
-def update_order_reps(
-    n: int, reflections: bool = True
-) -> tuple[list[tuple[int, ...]], np.ndarray]:
-    """Canonical representatives of all ``n!`` sequential update orders.
-
-    Returns ``(reps, weights)`` with the weights summing to ``n!`` — the
-    schedule-space analogue of :meth:`QuotientSpec.reps_in_range`.  Full
-    enumeration, so intended for the small ``n`` the sequential census
-    sweeps (``n! <= 8!``).
-    """
-    if n > 8:
-        raise ValueError(
-            f"update_order_reps enumerates all n! orders; n={n} is too large"
-        )
-    counts: dict[tuple[int, ...], int] = {}
-    for perm in permutations(range(n)):
-        rep = canonical_update_order(perm, n, reflections)
-        counts[rep] = counts.get(rep, 0) + 1
-    reps = sorted(counts)
-    return reps, np.array([counts[r] for r in reps], dtype=np.int64)

@@ -14,6 +14,9 @@ Subcommands
 ``phase-space``
     Summarise (and optionally export as Graphviz DOT) the parallel or
     sequential phase space of a small automaton.
+``census`` / ``survey`` / ``report``
+    The MAJORITY-ring census (E20), the 256-rule elementary survey (E21),
+    and a markdown report of every experiment.
 ``mc``
     Streaming Monte-Carlo estimation of fixed-point / 2-cycle incidence,
     convergence time and energy descent for rings far beyond exact
@@ -45,7 +48,8 @@ Subcommands
     known-bad mutant kernels; ``--replay finding.json`` re-checks a
     recorded counterexample).
 
-Every subcommand accepts ``--trace`` (record tracing spans into the
+Every subcommand but ``doctor`` (under ``runs``: each of its five
+leaves) accepts ``--trace`` (record tracing spans into the
 metrics registry), ``--artifacts-dir DIR`` (persist the run as
 ``manifest.json`` + ``events.jsonl`` + ``metrics.prom`` under DIR;
 implies ``--trace``), ``--profile FILE`` (write a span profile in
@@ -57,9 +61,10 @@ in the environment enables tracing globally.
 Resource governance: the enumerating subcommands accept ``--budget-mem``
 / ``--budget-wall`` / ``--budget-states``; tripping a budget yields an
 honest partial result and exit code 3 instead of an OOM kill.
-``phase-space --resume DIR`` checkpoints the explored frontier on
-truncation and resumes from it.  Ctrl-C exits 130 with a one-line
-notice (no traceback); SIGTERM cancels cooperatively and exits 143.
+``--resume DIR`` (``phase-space``, ``census --n N`` and ``mc``)
+checkpoints the explored frontier on truncation and resumes from it.
+Ctrl-C exits 130 with a one-line notice (no traceback); SIGTERM cancels
+cooperatively and exits 143.
 """
 
 from __future__ import annotations
@@ -69,7 +74,8 @@ import json
 import os
 import signal
 import sys
-from collections.abc import Sequence
+from collections.abc import Callable, Iterator, Sequence
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -189,6 +195,10 @@ def _add_space_rule_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--bounded", action="store_true",
                    help="grid: fixed instead of toroidal boundary")
     p.add_argument("--dimension", type=int, default=3, help="hypercube dimension")
+    _add_rule_args(p)
+
+
+def _add_rule_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--rule", default="majority",
                    choices=["majority", "xor", "threshold", "wolfram"])
     p.add_argument("--threshold", type=int, default=None)
@@ -272,9 +282,15 @@ def build_parser() -> argparse.ArgumentParser:
             "cellular automata (Tosic & Agha, IPPS 2004) — reproduction CLI"
         ),
     )
+    # A meter's total mirrors what its command charges to the budget (run
+    # advances per experiment instead), so the ETA means something; a
+    # command with no meter of its own is labelled by its name alone.
+    parser.set_defaults(progress_label=lambda a: a.command,
+                        progress_total=lambda a: None)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_list = sub.add_parser("list", help="list the experiment registry")
+    p_list.set_defaults(handler=_cmd_list)
 
     p_run = sub.add_parser(
         "run", help="run experiments by id",
@@ -300,6 +316,10 @@ def build_parser() -> argparse.ArgumentParser:
                      help="journal progress under DIR (journal.jsonl + "
                           "checkpoint.json) and skip experiments already "
                           "completed there")
+    p_run.set_defaults(
+        handler=_cmd_run,
+        progress_total=lambda a: len({i.upper() for i in _run_ids(a)}),
+    )
 
     p_sim = sub.add_parser("simulate", help="print a space-time diagram")
     _add_space_rule_args(p_sim)
@@ -309,6 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--init", default="random",
                        help="'random', 'alternating', 'one', or a 0/1 string")
     p_sim.add_argument("--seed", type=int, default=0)
+    p_sim.set_defaults(handler=_cmd_simulate)
 
     p_ps = sub.add_parser("phase-space", help="analyse a full phase space")
     _add_space_rule_args(p_ps)
@@ -318,6 +339,13 @@ def build_parser() -> argparse.ArgumentParser:
                       help="write a Graphviz DOT rendering to FILE")
     _add_backend_args(p_ps)
     _add_budget_args(p_ps, resume=True)
+    p_ps.set_defaults(
+        handler=_cmd_phase_space,
+        progress_label=lambda a: f"phase-space n={_space_nodes(a)}",
+        progress_total=lambda a: (1 << _space_nodes(a)) * (
+            _space_nodes(a) if a.mode == "sequential" else 1
+        ),
+    )
 
     p_census = sub.add_parser(
         "census", help="phase-space census of MAJORITY rings (E20)"
@@ -337,6 +365,14 @@ def build_parser() -> argparse.ArgumentParser:
                                "'auto' picks attractor when --n is given")
     _add_backend_args(p_census)
     _add_budget_args(p_census, resume=True)
+    p_census.set_defaults(
+        handler=_cmd_census,
+        progress_label=lambda a: (
+            f"census n={a.n}" if a.n is not None
+            else f"census n={a.min_n}..{a.max_n}"
+        ),
+        progress_total=lambda a: sum(1 << k for k in _census_sizes(a)),
+    )
 
     p_mc = sub.add_parser(
         "mc", help="streaming Monte-Carlo estimation (n up to 10**6)",
@@ -353,12 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_mc.add_argument("--n", type=int, default=1000, help="ring size")
     p_mc.add_argument("--radius", type=int, default=1)
-    p_mc.add_argument("--rule", default="majority",
-                      choices=["majority", "xor", "threshold", "wolfram"])
-    p_mc.add_argument("--threshold", type=int, default=None)
-    p_mc.add_argument("--wolfram", type=int, default=None)
-    p_mc.add_argument("--memoryless", action="store_true",
-                      help="exclude the node's own state from its window")
+    _add_rule_args(p_mc)
     p_mc.add_argument("--schedule", default="parallel",
                       choices=["parallel", "sweep"],
                       help="synchronous macro steps, or one full "
@@ -386,6 +417,9 @@ def build_parser() -> argparse.ArgumentParser:
                            "to FILE and validate it against its contract")
     _add_backend_args(p_mc)
     _add_budget_args(p_mc, resume=True)
+    p_mc.set_defaults(handler=_cmd_mc,
+                      progress_label=lambda a: f"mc n={a.n}",
+                      progress_total=_mc_samples)
 
     p_survey = sub.add_parser(
         "survey", help="classify all 256 elementary rules (E21)"
@@ -396,12 +430,14 @@ def build_parser() -> argparse.ArgumentParser:
                           help="print one line per rule, not just the summary")
     _add_backend_args(p_survey)
     _add_budget_args(p_survey)
+    p_survey.set_defaults(handler=_cmd_survey)
 
     p_report = sub.add_parser(
         "report", help="run every experiment and emit a markdown report"
     )
     p_report.add_argument("--output", default=None, metavar="FILE",
                           help="write to FILE instead of stdout")
+    p_report.set_defaults(handler=_cmd_report)
 
     p_stats = sub.add_parser(
         "stats", help="pretty-print the obs metrics snapshot"
@@ -413,6 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
                          choices=["text", "json", "prom"],
                          help="output format: human text (default), raw "
                               "JSON, or Prometheus textfile exposition")
+    p_stats.set_defaults(handler=_cmd_stats)
 
     p_runs = sub.add_parser(
         "runs", help="query the cross-run sqlite index",
@@ -423,13 +460,8 @@ def build_parser() -> argparse.ArgumentParser:
             "sqlite index and query it."
         ),
     )
+    p_runs.set_defaults(handler=_cmd_runs)
     runs_sub = p_runs.add_subparsers(dest="runs_command", required=True)
-
-    def _add_db_arg(rp: argparse.ArgumentParser) -> None:
-        rp.add_argument("--db", default=None, metavar="FILE",
-                        help="index database (default: $REPRO_RUNS_DB, then "
-                             "./runs_index.sqlite)")
-
     r_index = runs_sub.add_parser(
         "index", help="ingest run directories / artifact files"
     )
@@ -462,7 +494,9 @@ def build_parser() -> argparse.ArgumentParser:
                            help="fail when current median > tolerance * "
                                 "baseline (default 2.0)")
     for rp in (r_index, r_list, r_show, r_gc, r_compare):
-        _add_db_arg(rp)
+        rp.add_argument("--db", default=None, metavar="FILE",
+                        help="index database (default: $REPRO_RUNS_DB, then "
+                             "./runs_index.sqlite)")
 
     p_doctor = sub.add_parser(
         "doctor", help="validate, repair and quarantine a run directory",
@@ -483,6 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="classify and report only; change nothing")
     p_doctor.add_argument("--json", action="store_true", dest="doctor_json",
                           help="emit the machine-readable report on stdout")
+    p_doctor.set_defaults(handler=_cmd_doctor)
 
     p_tail = sub.add_parser(
         "tail", help="follow a run's progress.jsonl heartbeats"
@@ -495,6 +530,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_tail.add_argument("--timeout", type=float, default=None,
                         metavar="SECONDS", dest="tail_timeout",
                         help="with --follow: give up after SECONDS")
+    p_tail.set_defaults(handler=_cmd_tail)
 
     p_fuzz = sub.add_parser(
         "fuzz", help="differential fuzzing + invariant oracles (qa)",
@@ -536,6 +572,11 @@ def build_parser() -> argparse.ArgumentParser:
                              "exit 0 if it no longer reproduces, 1 if it "
                              "still fails")
     _add_budget_args(p_fuzz)
+    p_fuzz.set_defaults(
+        handler=_cmd_fuzz,
+        progress_label=lambda a: f"fuzz seed={a.seed}",
+        progress_total=lambda a: None if a.replay or a.self_test else a.cases,
+    )
 
     for p in (p_list, p_run, p_sim, p_ps, p_census, p_mc, p_survey,
               p_report, p_stats, p_fuzz, r_index, r_list, r_show, r_gc,
@@ -545,28 +586,48 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: Numeric flag bounds keyed by argparse dest: ``(flag, allowed,
+#: predicate)``.  One entry covers every subcommand declaring the dest.
+_BOUNDS: dict[str, tuple[str, str, Callable[[float], bool]]] = {
+    "n": ("--n", ">= 1", lambda v: v >= 1),
+    "radius": ("--radius", ">= 1", lambda v: v >= 1),
+    "rows": ("--rows", ">= 1", lambda v: v >= 1),
+    "cols": ("--cols", ">= 1", lambda v: v >= 1),
+    "dimension": ("--dimension", ">= 1", lambda v: v >= 1),
+    "steps": ("--steps", ">= 0", lambda v: v >= 0),
+    "retries": ("--retries", ">= 0", lambda v: v >= 0),
+    "workers": ("--workers", ">= 1", lambda v: v >= 1),
+    "max_shard_retries": ("--max-shard-retries", ">= 1", lambda v: v >= 1),
+    "wolfram": ("--wolfram", "an elementary rule number in 0..255",
+                lambda v: 0 <= v <= 255),
+    "timeout": ("--timeout", "positive", lambda v: v > 0),
+    "cases": ("--cases", ">= 1", lambda v: v >= 1),
+    "samples": ("--samples", ">= 1", lambda v: v >= 1),
+    "horizon": ("--horizon", ">= 1", lambda v: v >= 1),
+    "density": ("--density", "strictly between 0 and 1", lambda v: 0 < v < 1),
+    "flips": ("--flips", ">= 0", lambda v: v >= 0),
+    "max_findings": ("--max-findings", ">= 1", lambda v: v >= 1),
+    "tolerance": ("--tolerance", "> 1.0", lambda v: v > 1.0),
+    "keep": ("--keep", ">= 1", lambda v: v >= 1),
+    "progress_interval": ("--progress-interval", "positive", lambda v: v > 0),
+    "tail_timeout": ("--timeout", "positive", lambda v: v > 0),
+    "budget_wall": ("--budget-wall", "positive", lambda v: v > 0),
+    "budget_states": ("--budget-states", ">= 1", lambda v: v >= 1),
+}
+
+
 def _validate_args(args: argparse.Namespace) -> None:
     """Reject out-of-domain numeric flags at the boundary.
 
     Catching these here turns deep numpy/space-construction tracebacks
     into one-line usage errors.
     """
-    for attr, minimum, flag in (
-        ("n", 1, "--n"),
-        ("radius", 1, "--radius"),
-        ("rows", 1, "--rows"),
-        ("cols", 1, "--cols"),
-        ("dimension", 1, "--dimension"),
-        ("steps", 0, "--steps"),
-        ("retries", 0, "--retries"),
-    ):
-        value = getattr(args, attr, None)
-        if value is not None and value < minimum:
-            raise SystemExit(f"{flag} must be >= {minimum}, got {value}")
-    workers = getattr(args, "workers", None)
-    if workers is not None and workers < 1:
-        raise SystemExit(f"--workers must be >= 1, got {workers}")
-    if workers is None and hasattr(args, "workers"):
+    for dest, (flag, allowed, ok) in _BOUNDS.items():
+        value = getattr(args, dest, None)
+        if value is not None and not ok(value):
+            shown = f"{value:g}" if isinstance(value, float) else value
+            raise SystemExit(f"{flag} must be {allowed}, got {shown}")
+    if hasattr(args, "workers") and args.workers is None:
         # No explicit count: the backend will consult REPRO_WORKERS —
         # reject a malformed value here as a usage error, not a traceback.
         from repro.perf.process import default_workers
@@ -583,55 +644,21 @@ def _validate_args(args: argparse.Namespace) -> None:
                 _check_name(env)
             except ValueError as err:
                 raise SystemExit(f"{BACKEND_ENV}: {err}") from err
-    retries_flag = getattr(args, "max_shard_retries", None)
-    if retries_flag is not None or hasattr(args, "max_shard_retries"):
+    if hasattr(args, "max_shard_retries"):
         from repro.perf.supervise import (
             MAX_SHARD_RETRIES_ENV,
             default_max_shard_retries,
         )
 
-        if retries_flag is not None:
-            if retries_flag < 1:
-                raise SystemExit(
-                    f"--max-shard-retries must be >= 1, got {retries_flag}"
-                )
+        if args.max_shard_retries is not None:
             # Threaded to the backend via the env var so every construction
             # path (CellularAutomaton, resolve_backend, qa) sees it.
-            os.environ[MAX_SHARD_RETRIES_ENV] = str(retries_flag)
+            os.environ[MAX_SHARD_RETRIES_ENV] = str(args.max_shard_retries)
         else:
             try:
                 default_max_shard_retries()
             except ValueError as err:
                 raise SystemExit(str(err)) from err
-    wolfram = getattr(args, "wolfram", None)
-    if wolfram is not None and not 0 <= wolfram <= 255:
-        raise SystemExit(
-            f"--wolfram must be an elementary rule number in 0..255, "
-            f"got {wolfram}"
-        )
-    timeout = getattr(args, "timeout", None)
-    if timeout is not None and timeout <= 0:
-        raise SystemExit(f"--timeout must be positive, got {timeout:g}")
-    cases = getattr(args, "cases", None)
-    if cases is not None and cases < 1:
-        raise SystemExit(f"--cases must be >= 1, got {cases}")
-    samples = getattr(args, "samples", None)
-    if samples is not None and samples < 1:
-        raise SystemExit(f"--samples must be >= 1, got {samples}")
-    horizon = getattr(args, "horizon", None)
-    if horizon is not None and horizon < 1:
-        raise SystemExit(f"--horizon must be >= 1, got {horizon}")
-    density = getattr(args, "density", None)
-    if density is not None and not 0.0 < density < 1.0:
-        raise SystemExit(
-            f"--density must be strictly between 0 and 1, got {density:g}"
-        )
-    flips = getattr(args, "flips", None)
-    if flips is not None and flips < 0:
-        raise SystemExit(f"--flips must be >= 0, got {flips}")
-    max_findings = getattr(args, "max_findings", None)
-    if max_findings is not None and max_findings < 1:
-        raise SystemExit(f"--max-findings must be >= 1, got {max_findings}")
     backends = getattr(args, "backends", None)
     if backends is not None:
         for name in backends.split(","):
@@ -640,26 +667,6 @@ def _validate_args(args: argparse.Namespace) -> None:
                     f"--backends: unknown sweep backend {name.strip()!r} "
                     f"(choose from {', '.join(BACKEND_NAMES)})"
                 )
-    tolerance = getattr(args, "tolerance", None)
-    if tolerance is not None and tolerance <= 1.0:
-        raise SystemExit(f"--tolerance must be > 1.0, got {tolerance:g}")
-    keep = getattr(args, "keep", None)
-    if keep is not None and keep < 1:
-        raise SystemExit(f"--keep must be >= 1, got {keep}")
-    interval = getattr(args, "progress_interval", None)
-    if interval is not None and interval <= 0:
-        raise SystemExit(
-            f"--progress-interval must be positive, got {interval:g}"
-        )
-    tail_timeout = getattr(args, "tail_timeout", None)
-    if tail_timeout is not None and tail_timeout <= 0:
-        raise SystemExit(f"--timeout must be positive, got {tail_timeout:g}")
-    wall = getattr(args, "budget_wall", None)
-    if wall is not None and wall <= 0:
-        raise SystemExit(f"--budget-wall must be positive, got {wall:g}")
-    states = getattr(args, "budget_states", None)
-    if states is not None and states < 1:
-        raise SystemExit(f"--budget-states must be >= 1, got {states}")
     mem = getattr(args, "budget_mem", None)
     if mem is not None:
         try:
@@ -668,11 +675,18 @@ def _validate_args(args: argparse.Namespace) -> None:
             raise SystemExit(f"--budget-mem: {err}") from err
 
 
-def _cmd_list(out) -> int:
+def _cmd_list(args: argparse.Namespace, out) -> int:
     width = max(len(e.title) for e in EXPERIMENTS.values())
     for exp in EXPERIMENTS.values():
         print(f"{exp.id:>4}  {exp.title:<{width}}  [{exp.paper_ref}]", file=out)
     return 0
+
+
+def _run_ids(args: argparse.Namespace) -> list[str]:
+    """The experiment ids ``run`` was given, with ``all`` expanded."""
+    if any(i.lower() == "all" for i in args.ids):
+        return list(EXPERIMENTS)
+    return args.ids
 
 
 def _cmd_run(args: argparse.Namespace, out) -> int:
@@ -683,11 +697,8 @@ def _cmd_run(args: argparse.Namespace, out) -> int:
         batch_exit_code,
     )
 
-    ids = args.ids
-    if any(i.lower() == "all" for i in ids):
-        ids = list(EXPERIMENTS)
     try:
-        ids = [get_experiment(i).id for i in ids]
+        ids = [get_experiment(i).id for i in _run_ids(args)]
     except KeyError as err:
         print(err.args[0], file=sys.stderr)
         return 2
@@ -821,23 +832,23 @@ def _cmd_phase_space(args: argparse.Namespace, out) -> int:
     if not partial.complete:
         return _truncated(partial, resume_dir, out)
     print(f"  {partial.describe()}", file=out)
-    if args.mode == "parallel":
-        ps = partial.value
-        for key, value in ps.summary().items():
-            print(f"  {key}: {value}", file=out)
-        dot = phase_space_dot(ps, title=ca.describe()) if args.dot else None
-    else:
-        nps = partial.value
-        for key, value in nps.summary().items():
-            print(f"  {key}: {value}", file=out)
-        dot = (
-            nondet_phase_space_dot(nps, title=ca.describe()) if args.dot else None
+    for key, value in partial.value.summary().items():
+        print(f"  {key}: {value}", file=out)
+    if args.dot:
+        render = (
+            phase_space_dot if args.mode == "parallel" else nondet_phase_space_dot
         )
-    if args.dot and dot is not None:
         with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(dot)
+            fh.write(render(partial.value, title=ca.describe()))
         print(f"wrote {args.dot}", file=out)
     return 0
+
+
+def _census_sizes(args: argparse.Namespace) -> range:
+    """Ring sizes a census covers: ``--n`` alone, else ``--min-n..--max-n``."""
+    if args.n is not None:
+        return range(args.n, args.n + 1)
+    return range(args.min_n, args.max_n + 1)
 
 
 def _census_attractor(args: argparse.Namespace, out) -> int:
@@ -845,10 +856,7 @@ def _census_attractor(args: argparse.Namespace, out) -> int:
     from repro.analysis.census import build_attractor_census
     from repro.perf.base import MAX_ATTRACTOR_N
 
-    if args.n is not None:
-        sizes = [args.n]
-    else:
-        sizes = list(range(args.min_n, args.max_n + 1))
+    sizes = _census_sizes(args)
     if not sizes or min(sizes) < 3:
         raise SystemExit("census needs ring sizes >= 3")
     if max(sizes) > MAX_ATTRACTOR_N:
@@ -856,7 +864,7 @@ def _census_attractor(args: argparse.Namespace, out) -> int:
             f"attractor census supports n up to {MAX_ATTRACTOR_N}, "
             f"got {max(sizes)}"
         )
-    resume_dir = getattr(args, "resume", None)
+    resume_dir = args.resume
     if resume_dir and len(sizes) != 1:
         raise SystemExit("census --resume needs a single size (--n N)")
     frontier = _load_resume(resume_dir, out)
@@ -895,17 +903,17 @@ def _cmd_census(args: argparse.Namespace, out) -> int:
         mode = "attractor" if args.n is not None else "full"
     if mode == "attractor":
         return _census_attractor(args, out)
-    if args.n is not None:
-        args.min_n = args.max_n = args.n
-    if not 3 <= args.min_n <= args.max_n <= 18:
+    if args.resume:
+        raise SystemExit("census --resume needs attractor mode (--n N, "
+                         "not --mode full)")
+    sizes = _census_sizes(args)
+    if not sizes or sizes[0] < 3 or sizes[-1] > 18:
         raise SystemExit(
             "census --mode full needs 3 <= min-n <= max-n <= 18 "
             "(attractor-direct mode reaches larger rings)"
         )
     rows = majority_ring_census(
-        range(args.min_n, args.max_n + 1),
-        backend=args.backend,
-        workers=args.workers,
+        sizes, backend=args.backend, workers=args.workers
     )
     print(f"{'n':>3} {'configs':>8} {'FPs':>6} {'CCs':>4} {'GoE':>7} "
           f"{'GoE%':>6} {'maxT':>5}", file=out)
@@ -923,6 +931,13 @@ def _cmd_census(args: argparse.Namespace, out) -> int:
         )
         print(f"fixed-point recurrence: a(n) = {terms}", file=out)
     return 0
+
+
+def _mc_samples(args: argparse.Namespace) -> int:
+    """Samples ``mc`` will draw: the request rounded up to whole batches."""
+    from repro.mc import lanes_for, round_samples
+
+    return round_samples(args.samples, lanes_for(args.n))
 
 
 def _cmd_mc(args: argparse.Namespace, out) -> int:
@@ -1032,7 +1047,7 @@ def _cmd_survey(args: argparse.Namespace, out) -> int:
     from repro.analysis.elementary import survey_all_rules, survey_summary
 
     sizes = tuple(range(5, max(6, args.max_ring + 1)))
-    profiles = survey_all_rules(ring_sizes=sizes, backend=args.backend)
+    profiles = survey_all_rules(sizes, args.backend, args.workers)
     if args.full_table:
         print(f"{'rule':>5} {'mono':>5} {'sym':>4} {'thr':>4} "
               f"{'par-cycles':>10} {'seq-cycles':>10}", file=out)
@@ -1393,45 +1408,23 @@ def _cmd_tail(args: argparse.Namespace, out) -> int:
     return 0
 
 
-def _dispatch(args: argparse.Namespace, out) -> int:
-    if args.command == "list":
-        return _cmd_list(out)
-    if args.command == "run":
-        return _cmd_run(args, out)
-    if args.command == "simulate":
-        return _cmd_simulate(args, out)
-    if args.command == "phase-space":
-        return _cmd_phase_space(args, out)
-    if args.command == "census":
-        return _cmd_census(args, out)
-    if args.command == "mc":
-        return _cmd_mc(args, out)
-    if args.command == "survey":
-        return _cmd_survey(args, out)
-    if args.command == "stats":
-        return _cmd_stats(args, out)
-    if args.command == "fuzz":
-        return _cmd_fuzz(args, out)
-    if args.command == "runs":
-        return _cmd_runs(args, out)
-    if args.command == "doctor":
-        return _cmd_doctor(args, out)
-    if args.command == "tail":
-        return _cmd_tail(args, out)
-    if args.command == "report":
-        from repro.experiments.report import generate_report
+def _cmd_report(args: argparse.Namespace, out) -> int:
+    from repro.experiments.report import generate_report
 
-        text = generate_report()
-        if args.output:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(text)
-            print(f"wrote {args.output}", file=out)
-        else:
-            print(text, file=out)
-        if "**ERROR**" in text or "**TIMEOUT**" in text or "**BUDGET**" in text:
-            return 2
-        return 0 if "**FAILS**" not in text else 1
-    raise AssertionError(f"unhandled command {args.command!r}")  # pragma: no cover
+    text = generate_report()
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        print(f"wrote {args.output}", file=out)
+    else:
+        print(text, file=out)
+    if "**ERROR**" in text or "**TIMEOUT**" in text or "**BUDGET**" in text:
+        return 2
+    return 0 if "**FAILS**" not in text else 1
+
+
+def _dispatch(args: argparse.Namespace, out) -> int:
+    return args.handler(args, out)
 
 
 def _budget_from_args(args: argparse.Namespace, token: CancelToken) -> Budget:
@@ -1473,62 +1466,38 @@ def _space_nodes(args: argparse.Namespace) -> int:
     return args.n
 
 
-def _progress_total(args: argparse.Namespace) -> int | None:
-    """Expected charged-states total for this invocation, or None.
-
-    Mirrors each enumerator's charging scheme so the reporter's ETA
-    means something: phase-space charges one state per explored config
-    (x n successor slots in sequential mode), census sums the ring
-    spaces, fuzz charges one state per case, run advances per
-    experiment via ``on_result``.
-    """
-    if args.command == "phase-space":
-        nodes = _space_nodes(args)
-        states = 1 << nodes
-        if getattr(args, "mode", "parallel") == "sequential":
-            return states * nodes
-        return states
-    if args.command == "census":
-        if getattr(args, "n", None) is not None:
-            return 1 << args.n
-        return sum(1 << k for k in range(args.min_n, args.max_n + 1))
-    if args.command == "mc":
-        from repro.mc import lanes_for, round_samples
-
-        return round_samples(args.samples, lanes_for(args.n))
-    if args.command == "fuzz":
-        if getattr(args, "replay", None) or getattr(args, "self_test", False):
-            return None
-        return args.cases
-    if args.command == "run":
-        ids = getattr(args, "ids", [])
-        if any(i.lower() == "all" for i in ids):
-            return len(EXPERIMENTS)
-        return len(dict.fromkeys(i.upper() for i in ids))
-    return None
-
-
-def _progress_label(args: argparse.Namespace) -> str:
-    if args.command == "phase-space":
-        return f"phase-space n={_space_nodes(args)}"
-    if args.command == "census":
-        if getattr(args, "n", None) is not None:
-            return f"census n={args.n}"
-        return f"census n={args.min_n}..{args.max_n}"
-    if args.command == "mc":
-        return f"mc n={args.n}"
-    if args.command == "fuzz":
-        return f"fuzz seed={args.seed}"
-    if args.command == "run":
-        return "run"
-    return args.command
-
-
 def _partial_location(args: argparse.Namespace) -> str:
     where = getattr(args, "artifacts_dir", None) or getattr(args, "resume", None)
     if where:
         return f" — partial artifacts in {where}"
     return ""
+
+
+@contextmanager
+def _profiled(args: argparse.Namespace) -> Iterator[None]:
+    """Under ``--profile`` (which implies ``--trace``), run the block as a
+    ``cli.<command>`` root span and write the profile however it exits."""
+    path = getattr(args, "profile", None)
+    if not path:
+        yield
+        return
+    profiler = obs.Profiler()
+    profiler.install()
+    enabled_here = not obs.is_enabled()
+    if enabled_here:
+        obs.enable(trace_memory=args.trace_memory)
+    try:
+        with obs.span(f"cli.{args.command}"):
+            yield
+    finally:
+        profiler.uninstall()
+        if enabled_here:
+            obs.disable()
+        try:
+            obs.write_profile(path, profiler.profile(), fmt=args.profile_format,
+                              name=f"repro {args.command}")
+        except OSError as err:
+            print(f"cannot write profile {path!r}: {err}", file=sys.stderr)
 
 
 def main(argv: Sequence[str] | None = None, out=None) -> int:
@@ -1547,27 +1516,8 @@ def main(argv: Sequence[str] | None = None, out=None) -> int:
     # own, so it bypasses the artifact/tracing setup below (keeping only
     # the --profile contract, which holds for every subcommand).
     if args.command == "stats":
-        profile_path = getattr(args, "profile", None)
-        if not profile_path:
-            return _cmd_stats(args, out)
-        profiler = obs.Profiler()
-        profiler.install()
-        enabled_here = not obs.is_enabled()
-        if enabled_here:
-            obs.enable()
-        try:
-            with obs.span("cli.stats"):
-                return _cmd_stats(args, out)
-        finally:
-            profiler.uninstall()
-            if enabled_here:
-                obs.disable()
-            obs.write_profile(
-                profile_path,
-                profiler.profile(),
-                fmt=getattr(args, "profile_format", "speedscope"),
-                name="repro stats",
-            )
+        with _profiled(args):
+            return _dispatch(args, out)
 
     token = CancelToken()
     args._cancel_token = token
@@ -1588,17 +1538,11 @@ def main(argv: Sequence[str] | None = None, out=None) -> int:
             ) from err
         artifacts.activate()
         want_trace = True
-    profile_path = getattr(args, "profile", None)
-    profiler = None
-    if profile_path:
-        want_trace = True
-        profiler = obs.Profiler()
-        profiler.install()
     progress = None
     if getattr(args, "progress", False):
         progress = obs.ProgressReporter(
-            _progress_label(args),
-            total=_progress_total(args),
+            args.progress_label(args),
+            total=args.progress_total(args),
             interval=getattr(args, "progress_interval", 1.0),
             path=(
                 os.path.join(artifacts_dir, PROGRESS_NAME)
@@ -1619,12 +1563,8 @@ def main(argv: Sequence[str] | None = None, out=None) -> int:
                 # its budget too would double-count experiment-internal
                 # charges against the experiment total.
                 budget.on_charge = progress.on_charge
-            with use_budget(budget):
-                if profiler is not None:
-                    with obs.span(f"cli.{args.command}"):
-                        code = _dispatch(args, out)
-                else:
-                    code = _dispatch(args, out)
+            with use_budget(budget), _profiled(args):
+                code = _dispatch(args, out)
         except BackendUnsupported as exc:
             # An explicit --backend that cannot run the automaton: a
             # one-line error, not a traceback (auto never raises this).
@@ -1662,18 +1602,6 @@ def main(argv: Sequence[str] | None = None, out=None) -> int:
     finally:
         if progress is not None:
             progress.finish()
-        if profiler is not None:
-            profiler.uninstall()
-            try:
-                obs.write_profile(
-                    profile_path,
-                    profiler.profile(),
-                    fmt=getattr(args, "profile_format", "speedscope"),
-                    name=f"repro {args.command}",
-                )
-            except OSError as err:
-                print(f"cannot write profile {profile_path!r}: {err}",
-                      file=sys.stderr)
         if enabled_here:
             obs.disable()
         if artifacts is not None:

@@ -21,11 +21,9 @@ from repro.analysis.census import (
 from repro.analysis.cycles import FunctionalGraph, cycle_length_counts
 from repro.analysis.quotient import (
     QuotientSpec,
-    canonical_update_order,
     orbit_reps_in_range,
     orbit_weights,
     quotient_mode,
-    update_order_reps,
 )
 from repro.core.automaton import CellularAutomaton
 from repro.core.heterogeneous import HeterogeneousCA
@@ -204,37 +202,8 @@ class TestConfigurationQuotient:
 
 
 class TestScheduleQuotient:
-    @given(
-        st.integers(min_value=2, max_value=6),
-        st.integers(min_value=0, max_value=10_000),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_canonical_is_conjugation_invariant(self, n, seed):
-        rng = np.random.default_rng(seed)
-        order = tuple(int(i) for i in rng.permutation(n))
-        rep = canonical_update_order(order, n)
-        for s in range(n):
-            rotated = tuple((i + s) % n for i in order)
-            mirrored = tuple((n - 1 - i + s) % n for i in order)
-            assert canonical_update_order(rotated, n) == rep
-            assert canonical_update_order(mirrored, n) == rep
-
-    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
-    def test_weights_cover_all_orders(self, n):
-        import math
-
-        reps, weights = update_order_reps(n)
-        assert int(weights.sum()) == math.factorial(n)
-        assert all(
-            canonical_update_order(r, n) == r for r in reps
-        )
-
-    def test_rejects_large_n(self):
-        with pytest.raises(ValueError):
-            update_order_reps(9)
-
     def test_conjugate_orders_share_attractor_stats(self):
-        """The justification for quotienting the sequential census."""
+        """Dihedrally conjugate update orders share every attractor statistic."""
         n = 5
         ca = CellularAutomaton(Ring(n), MajorityRule(), memory=True)
         node_succ = ca.all_node_successors()

@@ -162,11 +162,55 @@ class TestInputValidation:
         (["run", "E1", "--timeout", "0"], "--timeout must be positive"),
         (["run", "E1", "--retries", "-1"], "--retries must be >= 0"),
         (["phase-space", "--n", "0"], "--n must be >= 1"),
+        (["simulate", "--space", "grid", "--cols", "0"],
+         "--cols must be >= 1, got 0"),
+        (["fuzz", "--cases", "0"], "--cases must be >= 1, got 0"),
+        (["mc", "--samples", "0"], "--samples must be >= 1, got 0"),
+        (["mc", "--horizon", "0"], "--horizon must be >= 1, got 0"),
+        (["mc", "--density", "1"],
+         "--density must be strictly between 0 and 1, got 1"),
+        (["mc", "--flips", "-1"], "--flips must be >= 0, got -1"),
+        (["fuzz", "--max-findings", "0"], "--max-findings must be >= 1, got 0"),
+        (["runs", "gc", "--keep", "0"], "--keep must be >= 1, got 0"),
+        (["list", "--progress-interval", "0"],
+         "--progress-interval must be positive, got 0"),
+        (["tail", "nowhere", "--timeout", "-1.5"],
+         "--timeout must be positive, got -1.5"),
+        (["phase-space", "--budget-wall", "0"],
+         "--budget-wall must be positive, got 0"),
+        (["phase-space", "--budget-states", "0"],
+         "--budget-states must be >= 1, got 0"),
+        (["runs", "compare", "a", "b", "--tolerance", "0.5"],
+         "--tolerance must be > 1.0, got 0.5"),
+        (["phase-space", "--budget-wall", "nan"],
+         "--budget-wall must be positive, got nan"),
     ])
     def test_bad_values_rejected(self, argv, fragment):
         with pytest.raises(SystemExit) as excinfo:
             run_cli(*argv)
         assert fragment in str(excinfo.value)
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--space", "grid", "--cols", "1"],
+        ["fuzz", "--cases", "1"],
+        ["mc", "--samples", "1"],
+        ["mc", "--horizon", "1"],
+        ["mc", "--density", "0.999"],
+        ["mc", "--flips", "0"],
+        ["fuzz", "--max-findings", "1"],
+        ["runs", "gc", "--keep", "1"],
+        ["list", "--progress-interval", "0.5"],
+        ["tail", "nowhere", "--timeout", "0.5"],
+        ["phase-space", "--budget-wall", "0.5"],
+        ["phase-space", "--budget-states", "1"],
+        ["runs", "compare", "a", "b", "--tolerance", "1.01"],
+    ])
+    def test_edge_value_accepted(self, argv, monkeypatch):
+        import repro.cli as cli_mod
+
+        # validation only: the command itself never runs
+        monkeypatch.setattr(cli_mod, "_dispatch", lambda args, out: 0)
+        assert run_cli(*argv) == (0, "")
 
     def test_boundary_values_accepted(self):
         code, _ = run_cli("simulate", "--n", "3", "--steps", "0")
@@ -201,6 +245,19 @@ class TestParser:
         args = parser.parse_args(["phase-space", "--trace-memory", "--trace"])
         assert args.trace_memory is True
 
+    @pytest.mark.parametrize("argv", [
+        [], ["list"], ["run"], ["simulate"], ["phase-space"], ["census"],
+        ["mc"], ["survey"], ["report"], ["stats"], ["runs"], ["doctor"],
+        ["tail"], ["fuzz"], ["runs", "index"], ["runs", "list"],
+        ["runs", "show"], ["runs", "gc"], ["runs", "compare"],
+    ])
+    def test_help_exits_zero(self, argv, capsys):
+        # argparse expands help strings only when it prints them
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args([*argv, "--help"])
+        assert excinfo.value.code == 0
+        assert "usage:" in capsys.readouterr().out
+
 
 class TestCensusCommand:
     def test_table_and_recurrence(self):
@@ -212,6 +269,20 @@ class TestCensusCommand:
     def test_rejects_bad_range(self):
         with pytest.raises(SystemExit):
             run_cli("census", "--min-n", "10", "--max-n", "4")
+
+    @pytest.mark.parametrize("argv", [
+        ["--min-n", "3", "--max-n", "5"],
+        ["--mode", "full", "--n", "5"],
+    ])
+    def test_full_mode_rejects_resume(self, argv, tmp_path):
+        # only the attractor census saves a frontier
+        resume = tmp_path / "ck"
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli("census", *argv, "--resume", str(resume))
+        assert str(excinfo.value) == (
+            "census --resume needs attractor mode (--n N, not --mode full)"
+        )
+        assert not resume.exists()
 
 
 class TestSurveyCommand:
@@ -225,6 +296,26 @@ class TestSurveyCommand:
         code, text = run_cli("survey", "--max-ring", "6", "--full-table")
         assert code == 0
         assert text.count("\n") > 256
+
+    def test_workers_reach_every_automaton(self, monkeypatch):
+        from repro.analysis import elementary
+
+        seen = set()
+        real = elementary.CellularAutomaton
+
+        def recording(space, rule, memory=True, backend=None, workers=None):
+            seen.add((backend, workers))
+            return real(space, rule, memory=memory)  # serial: keep it fast
+
+        monkeypatch.setattr(elementary, "CellularAutomaton", recording)
+        elementary.survey_rule.cache_clear()
+        try:
+            code, _ = run_cli("survey", "--max-ring", "5",
+                              "--backend", "process", "--workers", "1")
+        finally:
+            elementary.survey_rule.cache_clear()
+        assert code == 0
+        assert seen == {("process", 1)}
 
 
 class TestReportCommand:

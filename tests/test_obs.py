@@ -613,6 +613,31 @@ class TestProgressCli:
         assert code == 0
         assert "[run]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, label, total", [
+        (["phase-space", "--n", "6", "--mode", "sequential"],
+         "phase-space n=6", 6 << 6),
+        (["phase-space", "--space", "grid", "--rows", "2", "--cols", "3",
+          "--bounded"], "phase-space n=6", 64),
+        (["census", "--min-n", "3", "--max-n", "6"], "census n=3..6", 120),
+        (["census", "--n", "10"], "census n=10", 1 << 10),
+        (["mc", "--n", "100", "--samples", "100"], "mc n=100", None),
+        (["fuzz", "--cases", "3"], "fuzz seed=0", 3),
+        (["run", "E1", "e1", "E3"], "run", 2),
+    ])
+    def test_final_heartbeat_label_and_total(self, argv, label, total, tmp_path):
+        if total is None:
+            from repro.mc import lanes_for, round_samples
+
+            total = round_samples(100, lanes_for(100))
+        run_dir = tmp_path / "run"
+        code, _ = run_cli(*argv, "--progress", "--artifacts-dir", str(run_dir))
+        assert code == 0
+        final = json.loads(
+            (run_dir / "progress.jsonl").read_text().splitlines()[-1]
+        )
+        assert final["final"] is True
+        assert (final["label"], final["total"]) == (label, total)
+
 
 class TestAtexitFinalizer:
     def test_interrupted_status_on_atexit(self, tmp_path):
