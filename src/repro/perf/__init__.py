@@ -116,7 +116,7 @@ def resolve_backend(
         name = os.environ.get(BACKEND_ENV, "").strip() or "auto"
     name = _check_name(name)
     if name == "process":
-        return ProcessBackend(ca, inner="auto", workers=workers)
+        return ProcessBackend(ca, workers=workers)
     if name != "auto":
         return BACKENDS[name](ca)
     effective = workers if workers is not None else default_workers()
@@ -125,5 +125,5 @@ def resolve_backend(
         and effective > 1
         and ProcessBackend.supports(ca) is None
     ):
-        return ProcessBackend(ca, inner="auto", workers=workers)
+        return ProcessBackend(ca, workers=workers)
     return resolve_serial_backend(ca, "auto")

@@ -10,16 +10,19 @@ parent array is a resumed disk-backed memmap).
 Worker failure never changes an answer, only its latency (shards are
 order-independent and recomputable — see :mod:`repro.perf.supervise`):
 
-* every dispatched shard carries a :class:`~repro.perf.supervise.ShardLease`
-  (holder pid, attempt count, stuck deadline); workers acknowledge each
-  shard with a ``start`` message and ship per-shard metric snapshots, each
-  worker on its own result pipe — no lock is shared between workers, so a
-  worker killed mid-message cannot block its siblings (its pipe simply
+* each worker holds at most one shard, and talks to the parent over one
+  duplex pipe of its own: the shard's task goes down, its ``done`` /
+  ``error`` reply with a metric snapshot comes back up.  No lock is
+  shared with a worker, so one killed at any instant — mid-message
+  included — blocks neither the parent nor its siblings (its pipe simply
   reads to EOF);
+* every dispatched shard carries a :class:`~repro.perf.supervise.ShardLease`
+  (holder pid, attempt count, stuck deadline armed at dispatch);
 * the parent's wait loop reaps dead workers (``is_alive``/``exitcode``),
-  returns their leased shards to the pending queue, SIGKILLs holders
-  past their lease deadline, and respawns replacements up to a death
-  budget (``REPRO_MAX_WORKER_DEATHS``, default ``max(4, 2*workers)``);
+  fails the shard each one held and returns it to the pending queue,
+  SIGKILLs holders past their lease deadline, and respawns replacements
+  up to a death budget (``REPRO_MAX_WORKER_DEATHS``, default
+  ``max(4, 2*workers)``);
 * workers catch kernel exceptions and ship structured
   ``("error", sid, ...)`` results instead of dying; a shard that fails
   ``max_shard_retries`` times (default 2, ``REPRO_MAX_SHARD_RETRIES``)
@@ -39,8 +42,8 @@ Governance stays honest across the process boundary:
   as the contiguous completed prefix advances — so a trip returns exactly
   the resumable ``next_lo`` frontier the serial builders return, with
   identical deterministic accounting;
-* a shared :class:`multiprocessing.Event` cancel flag is polled by every
-  worker between chunks, so Ctrl-C / deadline trips wind the pool down
+* a shared cancel byte (``RawValue``, no lock) is polled by every worker
+  between chunks, so Ctrl-C / deadline trips wind the pool down
   cooperatively instead of leaving orphans (workers also ignore SIGINT —
   the parent owns the signal); a hung worker that never polls is bounded
   by the wind-down grace and then killed, so a deadline trip returns
@@ -95,8 +98,8 @@ DEFAULT_WORKERS_ENV = "REPRO_WORKERS"
 _POLL_S = 0.1
 
 #: seconds a cancel/deadline wind-down waits for in-flight shards before
-#: abandoning them (a hung worker never acknowledges the cancel Event;
-#: this bounds "never hangs past the budget deadline")
+#: abandoning them (a hung worker never polls the cancel flag; this
+#: bounds "never hangs past the budget deadline")
 _WINDDOWN_GRACE_S = 5.0
 
 #: seconds the shutdown path waits per worker before SIGKILLing it
@@ -133,36 +136,37 @@ def _flush_snapshot() -> dict:
     return snapshot
 
 
-def _worker_main(wid, fill, task_q, conn, cancel, kernel=None) -> None:
+def _worker_main(wid, fill, conn, cancel, kernel=None) -> None:
     """Worker loop: shards in, per-shard completions + metric deltas out.
 
     ``fill(lo, hi)`` is the parent's successor-range callable, inherited by
     fork (rules never cross a pickle boundary); ``kernel`` is the counts
     kernel (:mod:`repro.perf.counts`) of a counts sweep, inherited the
-    same way.  Results go out on ``conn``, this worker's own pipe, so no
-    lock is shared with its siblings.  Kernel exceptions are caught and
-    shipped as structured ``error`` results — a worker only dies from the
-    outside (SIGKILL, OOM) or from a ``worker-crash`` fault.  Metrics are
-    flushed alongside every shard completion, so an abnormal death loses
-    at most the in-flight shard's increments.
+    same way.  Tasks arrive and results leave on ``conn``, this worker's
+    own pipe, so no lock is shared with the parent or a sibling; the
+    parent sends the next task only after this one's reply.  Kernel
+    exceptions are caught and shipped as structured ``error`` results — a
+    worker only dies from the outside (SIGKILL, OOM) or from a
+    ``worker-crash`` fault.  Metrics are flushed alongside every shard
+    completion, so an abnormal death loses at most the in-flight shard's
+    increments.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     # The forked registry starts as a copy of the parent's counts; reset so
     # snapshots hold only this worker's own increments.
     obs.REGISTRY.reset()
+    pid = os.getpid()
     while True:
-        task = task_q.get()
+        task = conn.recv()
         if task is None:
-            conn.send(("metrics", os.getpid(), _flush_snapshot()))
+            conn.send(("metrics", pid, _flush_snapshot()))
             return
-        sid, lo, hi, shm_name = task
-        pid = os.getpid()
-        conn.send(("start", sid, pid))
+        sid, lo, hi, segment = task
         try:
             faults.inject(f"perf.worker.w{wid}.dispatch")
             # Forked workers share the parent's resource tracker, so
             # attaching here neither duplicates nor steals ownership.
-            shm = shared_memory.SharedMemory(name=shm_name)
+            shm = shared_memory.SharedMemory(name=segment)
             try:
                 ok = True
                 if kernel is not None:
@@ -178,7 +182,7 @@ def _worker_main(wid, fill, task_q, conn, cancel, kernel=None) -> None:
                     out = np.ndarray(hi - lo, dtype=np.int64, buffer=shm.buf)
                     chunk = CHUNK
                 for clo in range(lo, hi, chunk):
-                    if cancel.is_set():
+                    if cancel.value:
                         ok = False
                         break
                     faults.inject(f"perf.worker.w{wid}.chunk")
@@ -207,7 +211,7 @@ def _worker_main(wid, fill, task_q, conn, cancel, kernel=None) -> None:
 
 
 def _receive(conns: list, timeout: float) -> list:
-    """Messages from the result pipes in ``conns`` that are ready within
+    """Messages from the worker pipes in ``conns`` that are ready within
     ``timeout`` seconds, one per ready pipe.
 
     A pipe is removed from ``conns`` (and closed) only at its end of file:
@@ -236,16 +240,7 @@ class ProcessBackend(SweepBackend):
             return "requires the fork start method (POSIX hosts)"
         return None
 
-    def __init__(
-        self,
-        ca,
-        inner: str = "auto",
-        workers: int | None = None,
-        *,
-        max_shard_retries: int | None = None,
-        max_worker_deaths: int | None = None,
-        shard_timeout_s: float | None = None,
-    ):
+    def __init__(self, ca, workers: int | None = None):
         super().__init__(ca)
         reason = self.supports(ca)
         if reason is not None:  # pragma: no cover - POSIX-only container
@@ -254,29 +249,13 @@ class ProcessBackend(SweepBackend):
             )
         from repro.perf import resolve_serial_backend
 
-        self._inner = resolve_serial_backend(ca, inner)
+        self._inner = resolve_serial_backend(ca)
         self.workers = workers if workers is not None else default_workers()
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        self.max_shard_retries = (
-            max_shard_retries
-            if max_shard_retries is not None
-            else default_max_shard_retries()
-        )
-        if self.max_shard_retries < 1:
-            raise ValueError(
-                f"max_shard_retries must be >= 1, got {max_shard_retries}"
-            )
-        self.max_worker_deaths = (
-            max_worker_deaths
-            if max_worker_deaths is not None
-            else default_max_worker_deaths(self.workers)
-        )
-        self.shard_timeout_s = (
-            shard_timeout_s
-            if shard_timeout_s is not None
-            else default_shard_timeout_s()
-        )
+        self.max_shard_retries = default_max_shard_retries()
+        self.max_worker_deaths = default_max_worker_deaths(self.workers)
+        self.shard_timeout_s = default_shard_timeout_s()
 
     def describe(self) -> str:
         return f"process[{self._inner.name} x{self.workers}]"
@@ -379,26 +358,25 @@ class ProcessBackend(SweepBackend):
             pass
 
         ctx = mp.get_context("fork")
-        cancel = ctx.Event()
+        cancel = ctx.RawValue("b", 0)
         nworkers = min(self.workers, len(shards))
-        #: read ends of the workers' result pipes, until each reaches EOF
+        #: parent ends of the workers' pipes, until each reads to EOF
         conns: list = []
         inbox: deque = deque()  # received, not yet handled
 
         def _spawn(wid: int) -> WorkerHandle:
-            task_q = ctx.SimpleQueue()
-            reader, writer = ctx.Pipe(duplex=False)
+            conn, child_conn = ctx.Pipe()
             proc = ctx.Process(
                 target=_worker_main,
-                args=(wid, fill, task_q, writer, cancel, kernel),
+                args=(wid, fill, child_conn, cancel, kernel),
                 daemon=True,
             )
             proc.start()
-            # The worker now holds the only write end, so its exit (or
-            # death) reads as EOF here.
-            writer.close()
-            conns.append(reader)
-            return WorkerHandle(wid, proc, task_q)
+            # The worker now holds the only copy of its end, so its exit
+            # (or death) reads as EOF here.
+            child_conn.close()
+            conns.append(conn)
+            return WorkerHandle(wid, proc, conn)
 
         supervisor = Supervisor(
             _spawn,
@@ -422,6 +400,7 @@ class ProcessBackend(SweepBackend):
             supervisor.start()
 
             pending: deque[int] = deque(range(len(shards)))
+            #: admitted shards not yet settled, with their output segment
             inflight: dict[int, shared_memory.SharedMemory] = {}
             status: dict[int, bool] = {}
             next_merge = 0  # first shard not yet folded into the prefix
@@ -462,7 +441,6 @@ class ProcessBackend(SweepBackend):
                 if shm is not None:
                     shm.close()
                     shm.unlink()
-                    leases[sid].shm_name = None
 
             def _serial_shard(sid: int) -> None:
                 """Compute shard ``sid`` inline with the serial inner backend.
@@ -510,8 +488,8 @@ class ProcessBackend(SweepBackend):
 
             def _fail_shard(sid: int, pid: int | None, error: str, tb: str) -> None:
                 """One failed attempt: re-dispatch, or quarantine as poison."""
-                if status.get(sid):
-                    return  # a duplicate completion already landed the data
+                if status.get(sid) is not None:
+                    return  # settled past a trip before its holder was reaped
                 lease = leases[sid]
                 lease.fail(pid, error, tb)
                 if reason is not None:
@@ -525,8 +503,7 @@ class ProcessBackend(SweepBackend):
                         _serial_shard(sid)
                 else:
                     obs.inc("perf.process.redispatches")
-                    if sid not in pending:
-                        pending.appendleft(sid)
+                    pending.appendleft(sid)
 
             last_supervise = 0.0
 
@@ -538,33 +515,19 @@ class ProcessBackend(SweepBackend):
                     return
                 last_supervise = now
                 supervisor.kill_stuck(leases)
+                deaths = supervisor.deaths
                 orphans = supervisor.reap()
-                delta = supervisor.deaths - deaths_seen[0]
-                if delta:
-                    obs.inc("perf.process.worker_deaths", delta)
-                deaths_seen[0] = supervisor.deaths
-                for sid, started in orphans:
-                    if status.get(sid):
-                        continue
-                    if started:
-                        lease = leases[sid]
-                        _fail_shard(
-                            sid,
-                            lease.pid,
-                            "worker died holding the lease",
-                            "",
-                        )
-                    elif reason is None:
-                        obs.inc("perf.process.redispatches")
-                        if sid not in pending:
-                            pending.appendleft(sid)
-                    else:
-                        _settle_admitted(sid)
+                if supervisor.deaths > deaths:
+                    obs.inc(
+                        "perf.process.worker_deaths", supervisor.deaths - deaths
+                    )
+                for sid in orphans:
+                    _fail_shard(
+                        sid, leases[sid].pid, "worker died holding the lease", ""
+                    )
                 if reason is not None:
                     return
-                remaining = len(pending) + len(
-                    [s for s in inflight if not status.get(s)]
-                )
+                remaining = len(pending) + len(inflight)
                 if remaining and not supervisor.collapsed:
                     spawned = supervisor.maybe_respawn(remaining)
                     if spawned:
@@ -580,59 +543,44 @@ class ProcessBackend(SweepBackend):
                         RuntimeWarning,
                         stacklevel=2,
                     )
-                    cancel.set()  # stop any survivor mid-shard promptly
-
-            deaths_seen = [0]
+                    cancel.value = 1  # stop any survivor mid-shard promptly
 
             try:
                 while pending or inflight:
                     _supervise()
 
-                    if degraded and reason is None:
-                        # Pool collapsed: finish the pending range serially,
-                        # with the same per-shard budget projection the
-                        # dispatch path applies.
-                        while pending and reason is None:
-                            sid = pending[0]
-                            lo, hi = shards[sid]
-                            if sid not in inflight:
-                                reason = _admit(lo, hi)
-                                if reason is not None:
-                                    break
-                                uncharged += hi - lo
-                            pending.popleft()
-                            _serial_shard(sid)
-
+                    # Dispatch to idle workers; once the pool has collapsed,
+                    # compute inline instead, under the same admission.
                     while (
-                        not degraded
-                        and pending
+                        pending
                         and reason is None
-                        and supervisor.has_capacity()
+                        and (degraded or supervisor.has_capacity())
                     ):
                         sid = pending[0]
                         lo, hi = shards[sid]
-                        lease = leases[sid]
-                        if lease.shm_name is None:
+                        if sid not in inflight:
                             # First dispatch: admit against the budget.
                             # Re-dispatches reuse the original admission
                             # and buffer.
                             reason = _admit(lo, hi)
                             if reason is not None:
                                 break
-                            shm = shared_memory.SharedMemory(
+                            inflight[sid] = shared_memory.SharedMemory(
                                 create=True,
                                 size=8 * (
                                     kernel.counts_slots if counts else hi - lo
                                 ),
                             )
-                            inflight[sid] = shm
-                            lease.shm_name = shm.name
                             uncharged += hi - lo
-                        if not supervisor.assign(
-                            lease, (sid, lo, hi, lease.shm_name)
-                        ):  # pragma: no cover - capacity raced a death
+                        if degraded:
+                            pending.popleft()
+                            _serial_shard(sid)
+                        elif supervisor.assign(
+                            leases[sid], (sid, lo, hi, inflight[sid].name)
+                        ):
+                            pending.popleft()
+                        else:  # pragma: no cover - capacity raced a death
                             break
-                        pending.popleft()
 
                     if reason is not None:
                         # Memory/state trips only stop *dispatch* — shards
@@ -641,13 +589,13 @@ class ProcessBackend(SweepBackend):
                         # have completed those chunks too).  Cancellation
                         # and deadline trips interrupt the workers.
                         if reason.startswith(("cancelled", "deadline")):
-                            cancel.set()
+                            cancel.value = 1
                             if winddown_at is None:
                                 winddown_at = time.monotonic()
                         pending.clear()
                         owned = set(supervisor.outstanding())
                         for sid in list(inflight):
-                            if sid not in owned and status.get(sid) is None:
+                            if sid not in owned:
                                 # Admitted but no live holder: nothing else
                                 # will ever complete it — settle it now.
                                 _settle_admitted(sid)
@@ -658,7 +606,7 @@ class ProcessBackend(SweepBackend):
                             and time.monotonic() - winddown_at
                             > _WINDDOWN_GRACE_S
                         ):
-                            # Hung workers never acknowledge the cancel:
+                            # Hung workers never poll the cancel flag:
                             # abandon their shards (beyond the charged
                             # prefix) so the trip returns promptly.
                             break
@@ -677,73 +625,60 @@ class ProcessBackend(SweepBackend):
                         continue
 
                     msg = inbox.popleft()
-                    kind = msg[0]
-                    if kind == "start":
-                        _, sid, pid = msg
-                        supervisor.note_started(leases[sid], pid)
-                    elif kind == "done":
-                        _, sid, pid, ok, snapshot = msg
-                        obs.REGISTRY.merge_snapshot(snapshot)
-                        supervisor.release(sid)
-                        if status.get(sid):
-                            continue  # duplicate completion after a re-dispatch
-                        if sid in pending:
-                            # A presumed-dead worker finished after all:
-                            # accept the data (it is byte-identical by
-                            # construction) instead of recomputing.
-                            pending.remove(sid)
-                        shm = inflight.get(sid)
-                        if shm is None:
-                            continue  # already cleaned up past a trip
-                        lo, hi = shards[sid]
-                        if ok:
-                            # Merge even past a trip: the data is correct,
-                            # and a memmap-backed resume benefits from it;
-                            # only prefix shards are *charged* and counted
-                            # in the frontier.
-                            if counts:
-                                # Copy before the shm segment is unlinked.
-                                shard_counts[sid] = np.array(
-                                    np.ndarray(
-                                        kernel.counts_slots,
-                                        dtype=np.int64,
-                                        buffer=shm.buf,
-                                    )
-                                )
-                            else:
-                                out[lo:hi] = np.ndarray(
-                                    hi - lo, dtype=np.int64, buffer=shm.buf
-                                )
-                            status[sid] = True
-                            _cleanup_shm(sid)
-                            _advance_prefix()
-                        elif reason is None:
-                            # The worker stopped at the cooperative cancel
-                            # poll (pool-collapse wind-down): the shard is
-                            # still owed — hand it back for completion.
-                            if sid not in pending:
-                                pending.append(sid)
-                        else:
-                            status[sid] = False
-                            _cleanup_shm(sid)
-                    elif kind == "error":
-                        _, sid, pid, exc_repr, tb, snapshot = msg
-                        obs.REGISTRY.merge_snapshot(snapshot)
-                        supervisor.release(sid)
+                    obs.REGISTRY.merge_snapshot(msg[-1])
+                    if msg[0] == "metrics":
+                        continue
+                    kind, sid, pid, *body = msg
+                    if not supervisor.release(sid, pid):
+                        # A reaped worker's late reply: its death already
+                        # failed the shard, which may have a new holder.
+                        continue
+                    if kind == "error":
+                        exc_repr, tb, _ = body
                         obs.inc("perf.process.shard_errors")
                         _fail_shard(sid, pid, exc_repr, tb)
-                    elif kind == "metrics":
-                        obs.REGISTRY.merge_snapshot(msg[2])
+                        continue
+                    ok, _ = body
+                    shm = inflight.get(sid)
+                    if shm is None:
+                        continue  # settled past a trip after its holder died
+                    lo, hi = shards[sid]
+                    if ok:
+                        # Merge even past a trip: the data is correct, and a
+                        # memmap-backed resume benefits from it; only prefix
+                        # shards are *charged* and counted in the frontier.
+                        if counts:
+                            # Copy before the shm segment is unlinked.
+                            shard_counts[sid] = np.array(
+                                np.ndarray(
+                                    kernel.counts_slots,
+                                    dtype=np.int64,
+                                    buffer=shm.buf,
+                                )
+                            )
+                        else:
+                            out[lo:hi] = np.ndarray(
+                                hi - lo, dtype=np.int64, buffer=shm.buf
+                            )
+                        status[sid] = True
+                        _cleanup_shm(sid)
+                        _advance_prefix()
+                    elif reason is None:
+                        # The worker stopped at the cooperative cancel
+                        # poll (pool-collapse wind-down): the shard is
+                        # still owed — hand it back for completion.
+                        pending.append(sid)
+                    else:
+                        status[sid] = False
+                        _cleanup_shm(sid)
             finally:
                 if reason is not None:
-                    cancel.set()
+                    cancel.value = 1
                 # Dead workers took their unflushed in-flight increments
                 # with them; anything still alive after the shutdown grace
                 # is killed and loses its final flush the same way.
                 stuck = [
-                    h
-                    for h in supervisor.handles
-                    if h.is_alive() and supervisor.load(h) > 0
+                    h for h in supervisor.live_handles() if h.sid is not None
                 ]
                 supervisor.shutdown(grace_s=_SHUTDOWN_GRACE_S)
                 lost = supervisor.deaths + sum(
@@ -759,8 +694,7 @@ class ProcessBackend(SweepBackend):
                 for conn in conns:
                     conn.close()
                 for msg in inbox:
-                    if msg[0] != "start":  # the rest end in a snapshot
-                        obs.REGISTRY.merge_snapshot(msg[-1])
+                    obs.REGISTRY.merge_snapshot(msg[-1])
                 for shm in inflight.values():
                     shm.close()
                     shm.unlink()

@@ -11,15 +11,20 @@ that license into behaviour:
   holds it (pid), how many times it has been attempted, which workers
   already failed it, and a deadline after which the holder is presumed
   stuck;
-* a :class:`Supervisor` owns the worker pool: it assigns leases to the
-  least-loaded live worker (avoiding workers that already failed the
-  shard), watches liveness via ``Process.is_alive()``/``exitcode``,
-  reaps dead workers, SIGKILLs past-deadline holders, and respawns
-  replacements up to a configurable *death budget*;
+* a :class:`Supervisor` owns the worker pool, one shard per worker at
+  most: it hands each lease to an idle live worker (avoiding workers
+  that already failed the shard) over that worker's own pipe, stamps the
+  holder and arms the deadline at dispatch, watches liveness via
+  ``Process.is_alive()``/``exitcode``, reaps dead workers (each one's
+  shard is a failed attempt), SIGKILLs past-deadline holders, and
+  respawns replacements up to a configurable *death budget*;
 * a shard that keeps failing is classified **poison** and quarantined:
   the parent recomputes it inline with the serial inner backend, and if
   that also raises, surfaces a typed :class:`ShardFailed` — never a
   hang, never a bare ``RuntimeError``.
+
+The pool shares no lock with its workers, so a worker SIGKILLed at any
+instant leaves nothing held that the parent must later take.
 
 The dispatch policy (budgets, prefix charging, merging) stays in
 :mod:`repro.perf.process`; this module is pure pool mechanics so later
@@ -149,20 +154,12 @@ class ShardLease:
     sid: int
     lo: int
     hi: int
-    shm_name: str | None = None  #: created on first dispatch, then reused
-    pid: int | None = None  #: current holder (None until its ``start`` ack)
+    pid: int | None = None  #: current holder, stamped at dispatch
     attempt: int = 0  #: dispatches so far (includes the in-flight one)
     failures: int = 0  #: failed attempts (kernel error or holder death)
     tried_pids: set = field(default_factory=set)  #: workers that failed it
-    started_at: float | None = None
     deadline: float | None = None
     errors: list = field(default_factory=list)  #: (exc_repr, traceback) per failure
-
-    def start(self, pid: int, now: float, timeout_s: float) -> None:
-        """Stamp the holder and (re)arm the stuck-worker deadline."""
-        self.pid = int(pid)
-        self.started_at = now
-        self.deadline = now + timeout_s if timeout_s > 0 else None
 
     def fail(self, pid: int | None, error: str, tb: str = "") -> None:
         """Record one failed attempt and release the holder."""
@@ -171,7 +168,6 @@ class ShardLease:
             self.tried_pids.add(int(pid))
         self.errors.append((error, tb))
         self.pid = None
-        self.started_at = None
         self.deadline = None
 
     def span_attrs(self) -> dict:
@@ -188,17 +184,21 @@ class ShardLease:
 
 @dataclass
 class WorkerHandle:
-    """One pool worker: its process, private task queue, and identity.
+    """One pool worker: its process, its pipe, and the shard it holds.
 
-    ``wid`` is a monotonically increasing spawn index — replacement
-    workers get fresh wids, which is what lets a fault plan target "the
-    first worker" (``perf.worker.w0.*``) without also hitting the
-    respawned replacement.
+    ``conn`` is the parent's end of the worker's one duplex pipe: tasks
+    and the ``None`` sentinel go down it, the worker's ``done`` /
+    ``error`` / ``metrics`` messages come back up.  ``sid`` is the one
+    shard the worker holds, if any.  ``wid`` is a monotonically
+    increasing spawn index — replacement workers get fresh wids, which is
+    what lets a fault plan target "the first worker" (``perf.worker.w0.*``)
+    without also hitting the respawned replacement.
     """
 
     wid: int
     process: object  #: multiprocessing.Process
-    task_q: object  #: per-worker SimpleQueue (parent -> this worker only)
+    conn: object  #: multiprocessing.connection.Connection (parent end)
+    sid: int | None = None
     sentinel_sent: bool = False
 
     @property
@@ -235,7 +235,6 @@ class Supervisor:
         self._clock = clock
         self._kill = kill
         self.handles: list[WorkerHandle] = []
-        self._owner: dict[int, WorkerHandle] = {}  # sid -> holding worker
         self._next_wid = 0
         self.deaths = 0
         self.respawns = 0
@@ -263,50 +262,58 @@ class Supervisor:
 
     # -- lease assignment ------------------------------------------------------
 
-    def load(self, handle: WorkerHandle) -> int:
-        """Shards currently owned by ``handle``."""
-        return sum(1 for h in self._owner.values() if h is handle)
+    def _idle(self) -> list[WorkerHandle]:
+        return [h for h in self.live_handles() if h.sid is None]
 
-    def has_capacity(self, depth: int = 2) -> bool:
-        """True when some live worker can take another shard (< depth)."""
-        return any(self.load(h) < depth for h in self.live_handles())
+    def has_capacity(self) -> bool:
+        """True when some live worker holds no shard."""
+        return bool(self._idle())
 
-    def assign(self, lease: ShardLease, task, depth: int = 2) -> bool:
-        """Queue ``task`` on the best live worker; False if none can take it.
+    def assign(self, lease: ShardLease, task) -> bool:
+        """Send ``task`` to an idle live worker; False if there is none.
 
-        Best = fewest owned shards, preferring workers that have not
-        already failed this shard (``lease.tried_pids``) so retries land
-        on *distinct* workers whenever the pool allows it.
+        Prefers workers that have not already failed this shard
+        (``lease.tried_pids``) so retries land on *distinct* workers
+        whenever the pool allows it.  Stamps the holder and arms the
+        stuck deadline (the worker was idle, so it starts at once).
         """
-        candidates = [h for h in self.live_handles() if self.load(h) < depth]
-        if not candidates:
+        idle = self._idle()
+        if not idle:
             return False
-        candidates.sort(
-            key=lambda h: (h.pid in lease.tried_pids, self.load(h), h.wid)
-        )
-        handle = candidates[0]
+        handle = min(idle, key=lambda h: (h.pid in lease.tried_pids, h.wid))
         lease.attempt += 1
-        self._owner[lease.sid] = handle
-        handle.task_q.put(task)
+        lease.pid = handle.pid
+        timeout_s = self.lease_timeout_s
+        lease.deadline = self._clock() + timeout_s if timeout_s > 0 else None
+        handle.sid = lease.sid
+        try:
+            handle.conn.send(task)
+        except OSError:
+            pass  # it died since the liveness check: reap returns the shard
         return True
 
-    def note_started(self, lease: ShardLease, pid: int) -> None:
-        """A worker acknowledged picking the shard up: arm its deadline."""
-        lease.start(pid, self._clock(), self.lease_timeout_s)
+    def release(self, sid: int, pid: int) -> bool:
+        """Free worker ``pid`` of shard ``sid`` after its done/error reply.
 
-    def release(self, sid: int) -> None:
-        """The shard reached a terminal message (done/error): drop ownership."""
-        self._owner.pop(sid, None)
+        False when ``pid`` no longer holds the shard — it was reaped, and
+        the shard was failed and perhaps re-dispatched, so its late reply
+        must not free the new holder.
+        """
+        for handle in self.handles:
+            if handle.sid == sid and handle.pid == pid:
+                handle.sid = None
+                return True
+        return False
 
     def owner_pid(self, sid: int) -> int | None:
-        handle = self._owner.get(sid)
-        return handle.pid if handle is not None else None
+        for handle in self.handles:
+            if handle.sid == sid:
+                return handle.pid
+        return None
 
     def outstanding(self) -> list[int]:
-        """Shard ids currently owned by live workers."""
-        return [
-            sid for sid, h in self._owner.items() if h.is_alive()
-        ]
+        """Shard ids currently held by live workers."""
+        return [h.sid for h in self.live_handles() if h.sid is not None]
 
     # -- supervision -----------------------------------------------------------
 
@@ -314,61 +321,38 @@ class Supervisor:
         """SIGKILL workers holding a lease past its deadline.
 
         Returns the wids killed; the dead workers are collected by the
-        next :meth:`reap` pass, which re-queues their shards.
+        next :meth:`reap` pass, which returns their shards.
         """
         now = self._clock()
         killed: list[int] = []
-        for sid, handle in list(self._owner.items()):
-            lease = leases.get(sid)
-            if lease is None or lease.deadline is None:
-                continue
-            if now < lease.deadline or not handle.is_alive():
+        for handle in self.live_handles():
+            lease = leases.get(handle.sid)
+            if lease is None or lease.deadline is None or now < lease.deadline:
                 continue
             try:
-                self._kill(handle.process.pid, signal.SIGKILL)
+                self._kill(handle.pid, signal.SIGKILL)
             except (ProcessLookupError, PermissionError):  # pragma: no cover
                 pass  # already gone — reap will pick it up
             killed.append(handle.wid)
         return killed
 
-    def reap(self) -> list[tuple[int, bool]]:
-        """Collect dead workers; return their orphaned ``(sid, started)``.
+    def reap(self) -> list[int]:
+        """Collect dead workers; return the shard each one held.
 
-        ``started`` is True when the worker had acknowledged the shard
-        (it died mid-compute — that counts as a failed attempt); False
-        when the shard was still queued behind it (re-dispatch without
-        blame).  Each reaped worker increments the death count toward
-        the budget.
+        Every returned shard is a failed attempt: its worker died holding
+        it.  Each reaped worker increments the death count toward the
+        budget.
         """
-        orphans: list[tuple[int, bool]] = []
+        orphans: list[int] = []
         for handle in list(self.handles):
             if handle.is_alive() or handle.sentinel_sent:
                 continue
             handle.process.join(timeout=0)
             self.handles.remove(handle)
             self.deaths += 1
-            # Tasks still buffered in its private queue were never started —
-            # drain first so assigned-but-unconsumed shards are reported
-            # exactly once, blamelessly.
-            drained = {t[0] for t in self._drain_queue(handle.task_q)}
-            for sid, h in list(self._owner.items()):
-                if h is handle:
-                    del self._owner[sid]
-                    if sid not in drained:
-                        orphans.append((sid, True))
-            for sid in sorted(drained):
-                orphans.append((sid, False))
+            if handle.sid is not None:
+                orphans.append(handle.sid)
         return orphans
-
-    @staticmethod
-    def _drain_queue(task_q) -> list:
-        tasks = []
-        try:
-            while not task_q.empty():
-                tasks.append(task_q.get())
-        except (OSError, EOFError):  # pragma: no cover - queue torn by death
-            pass
-        return [t for t in tasks if t is not None]
 
     def maybe_respawn(self, wanted: int) -> int:
         """Top the pool back up to ``min(target, wanted)`` live workers.
@@ -397,9 +381,9 @@ class Supervisor:
         for handle in self.handles:
             if handle.is_alive() and not handle.sentinel_sent:
                 try:
-                    handle.task_q.put(None)
+                    handle.conn.send(None)
                     handle.sentinel_sent = True
-                except (OSError, ValueError):  # pragma: no cover - torn pipe
+                except OSError:  # pragma: no cover - it died meanwhile
                     pass
         for handle in self.handles:
             handle.process.join(timeout=grace_s)
@@ -407,4 +391,3 @@ class Supervisor:
             if handle.is_alive():
                 handle.process.kill()
                 handle.process.join(timeout=1.0)
-        self._owner.clear()

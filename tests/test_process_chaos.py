@@ -22,6 +22,7 @@ from __future__ import annotations
 import multiprocessing as mp
 import os
 import signal
+import threading
 import time
 import warnings
 from multiprocessing.connection import wait
@@ -30,10 +31,12 @@ import numpy as np
 import pytest
 
 from repro import obs
+from repro.analysis.census import build_attractor_census
 from repro.core.automaton import CellularAutomaton
 from repro.core.budget import Budget
 from repro.core.rules import MajorityRule
 from repro.harness import faults
+from repro.mc import McKernel, build_mc_estimate
 from repro.perf import process as procmod
 from repro.perf import supervise
 from repro.perf.process import ProcessBackend, default_workers
@@ -190,7 +193,7 @@ class TestDegradation:
         monkeypatch.setenv(supervise.MAX_WORKER_DEATHS_ENV, "1")
         monkeypatch.setenv(supervise.MAX_SHARD_RETRIES_ENV, "100")
         faults.install("perf.worker.*:worker-crash:1.0:0")
-        backend = ProcessBackend(make_ca("numpy"), inner="numpy", workers=2)
+        backend = ProcessBackend(make_ca("numpy"), workers=2)
         out = np.empty(1 << N, dtype=np.int64)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
@@ -225,13 +228,13 @@ class TestHangs:
     def test_deadline_trip_is_bounded_with_hung_worker(
         self, monkeypatch, serial_ref
     ):
-        # A hung worker never acknowledges the cancel Event; the wind-down
+        # A hung worker never polls the cancel flag; the wind-down
         # grace bounds the trip anyway (never hangs past the deadline).
         monkeypatch.setenv(faults.HANG_ENV_VAR, "60")
         monkeypatch.setattr(procmod, "_WINDDOWN_GRACE_S", 0.5)
         monkeypatch.setattr(procmod, "_SHUTDOWN_GRACE_S", 0.5)
         faults.install("perf.worker.w0.chunk:worker-hang:1.0:0:1")
-        backend = ProcessBackend(make_ca("numpy"), inner="numpy", workers=2)
+        backend = ProcessBackend(make_ca("numpy"), workers=2)
         out = np.empty(1 << N, dtype=np.int64)
         start = time.monotonic()
         next_lo, reason = backend.governed_sweep(
@@ -245,7 +248,7 @@ class TestHangs:
         # The old pragma-no-cover trip-race path: a states trip between
         # the two shards must merge the in-flight shard and clean up its
         # shared memory (the finally sweep owns any leftovers).
-        backend = ProcessBackend(make_ca("numpy"), inner="numpy", workers=2)
+        backend = ProcessBackend(make_ca("numpy"), workers=2)
         out = np.empty(1 << N, dtype=np.int64)
         next_lo, reason = backend.governed_sweep(
             out,
@@ -276,6 +279,53 @@ class TestSnapshots:
             got = make_ca("process", workers=2).step_all()
         assert np.array_equal(got, serial_ref)
         assert counters().get("perf.process.snapshots_lost", 0) == 2
+
+
+class TestCountsChaos:
+    """Counts shards (the census and Monte-Carlo path) heal like fills."""
+
+    @pytest.fixture(scope="class")
+    def census_ref(self):
+        return build_attractor_census(make_ca("numpy")).value
+
+    @staticmethod
+    def process_census():
+        partial = build_attractor_census(make_ca("process", workers=2))
+        assert partial.complete
+        return partial.value
+
+    @pytest.mark.parametrize("phase", ["dispatch", "chunk", "premerge"])
+    def test_worker_crash_heals(self, phase, census_ref):
+        faults.install(f"perf.worker.w0.{phase}:worker-crash:1.0:0:1")
+        assert self.process_census() == census_ref
+        assert counters().get("perf.process.worker_deaths", 0) >= 1
+
+    def test_poison_falls_back_to_serial(self, census_ref):
+        faults.install("perf.worker.*:worker-poison:1.0:0")
+        assert self.process_census() == census_ref
+        assert counters().get("perf.process.poison_shards", 0) == 2
+
+    def test_pool_collapse_degrades_to_serial(self, monkeypatch, census_ref):
+        monkeypatch.setenv(supervise.MAX_WORKER_DEATHS_ENV, "1")
+        monkeypatch.setenv(supervise.MAX_SHARD_RETRIES_ENV, "100")
+        faults.install("perf.worker.*:worker-crash:1.0:0")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert self.process_census() == census_ref
+        assert gauges().get("perf.process.degraded") == 1
+
+    def test_mc_chunk_crash_matches_serial(self, mc_seed):
+        def kernel():
+            return McKernel(MajorityRule(), 16, seed=mc_seed, lanes=256)
+
+        serial = build_mc_estimate(kernel(), 2048)
+        faults.install("perf.worker.w0.chunk:worker-crash:1.0:0:1")
+        ca = CellularAutomaton(
+            Ring(16), MajorityRule(), backend="process", workers=2
+        )
+        sharded = build_mc_estimate(kernel(), 2048, backend=ca.backend)
+        assert sharded.complete and sharded.value == serial.value
+        assert counters().get("perf.process.worker_deaths", 0) >= 1
 
 
 class TestResultPipes:
@@ -313,6 +363,47 @@ class TestResultPipes:
         for proc in procs[1:]:
             proc.join(10)
             assert proc.exitcode == 0
+
+
+class TestNoLockLeftHeld:
+    """A worker SIGKILLed at any instant leaves nothing the parent waits on."""
+
+    def test_reap_returns_shard_of_worker_killed_while_waiting(self):
+        ctx = mp.get_context("fork")
+        cancel = ctx.RawValue("b", 0)
+
+        def spawn(wid: int) -> WorkerHandle:
+            conn, child_conn = ctx.Pipe()
+            proc = ctx.Process(
+                target=procmod._worker_main,
+                args=(wid, None, child_conn, cancel),
+                daemon=True,
+            )
+            proc.start()
+            child_conn.close()
+            return WorkerHandle(wid, proc, conn)
+
+        sup = Supervisor(spawn, workers=1, max_worker_deaths=4)
+        sup.start()
+        handle = sup.handles[0]
+        try:
+            time.sleep(0.5)  # the worker is now blocked reading its next task
+            os.kill(handle.pid, signal.SIGSTOP)
+            assert sup.assign(ShardLease(0, 0, 1), (0, 0, 1, "unused"))
+            os.kill(handle.pid, signal.SIGKILL)
+            handle.process.join(10)
+            assert not handle.is_alive()
+            reaped: list = []
+            thread = threading.Thread(
+                target=lambda: reaped.append(sup.reap()), daemon=True
+            )
+            thread.start()
+            thread.join(5)
+            assert not thread.is_alive(), "reap() blocked on the dead worker"
+            assert reaped == [[0]]
+        finally:
+            handle.process.kill()
+            handle.conn.close()
 
 
 class TestKnobValidation:
@@ -353,10 +444,6 @@ class TestKnobValidation:
         monkeypatch.setenv(supervise.SHARD_TIMEOUT_ENV, "soon")
         with pytest.raises(ValueError, match="number of seconds"):
             default_shard_timeout_s()
-
-    def test_backend_rejects_bad_retry_kwarg(self):
-        with pytest.raises(ValueError, match="max_shard_retries"):
-            ProcessBackend(make_ca("numpy"), inner="numpy", max_shard_retries=0)
 
     def test_cli_workers_env_is_one_line_error(self, monkeypatch):
         from repro.cli import main
@@ -410,18 +497,12 @@ class _FakeProcess:
         self.exitcode = exitcode
 
 
-class _FakeQueue:
+class _FakeConn:
     def __init__(self):
-        self.items: list = []
+        self.sent: list = []
 
-    def put(self, item) -> None:
-        self.items.append(item)
-
-    def get(self):
-        return self.items.pop(0)
-
-    def empty(self) -> bool:
-        return not self.items
+    def send(self, item) -> None:
+        self.sent.append(item)
 
 
 class TestSupervisorUnit:
@@ -430,7 +511,7 @@ class TestSupervisorUnit:
     @staticmethod
     def make_supervisor(workers=2, max_deaths=4, timeout=300.0, kills=None):
         def spawn(wid: int) -> WorkerHandle:
-            return WorkerHandle(wid, _FakeProcess(1000 + wid), _FakeQueue())
+            return WorkerHandle(wid, _FakeProcess(1000 + wid), _FakeConn())
 
         sup = Supervisor(
             spawn,
@@ -450,7 +531,8 @@ class TestSupervisorUnit:
         l0, l1 = ShardLease(0, 0, 10), ShardLease(1, 10, 20)
         assert sup.assign(l0, ("t0",)) and sup.assign(l1, ("t1",))
         assert sup.owner_pid(0) != sup.owner_pid(1)
-        assert l0.attempt == 1
+        assert l0.attempt == 1 and l0.pid == sup.owner_pid(0)
+        assert [h.conn.sent for h in sup.handles] == [[("t0",)], [("t1",)]]
 
     def test_assign_prefers_untried_worker(self):
         sup = self.make_supervisor()
@@ -459,30 +541,40 @@ class TestSupervisorUnit:
         assert sup.assign(lease, ("t0",))
         assert sup.owner_pid(0) == 1001
 
-    def test_capacity_is_depth_bounded(self):
+    def test_capacity_is_one_shard_per_worker(self):
         sup = self.make_supervisor(workers=1)
         assert sup.assign(ShardLease(0, 0, 1), ("t0",))
-        assert sup.assign(ShardLease(1, 1, 2), ("t1",))
         assert not sup.has_capacity()
-        assert not sup.assign(ShardLease(2, 2, 3), ("t2",))
-
-    def test_reap_separates_started_from_queued(self):
-        sup = self.make_supervisor(workers=1)
-        assert sup.assign(ShardLease(0, 0, 1), (0, "t"))
-        assert sup.assign(ShardLease(1, 1, 2), (1, "t"))
-        handle = sup.handles[0]
-        handle.task_q.get()  # the worker consumed shard 0 ...
-        handle.process.die()  # ... and died mid-compute
-        orphans = sup.reap()
-        assert sorted(orphans) == [(0, True), (1, False)]
-        assert sup.deaths == 1
-        assert sup.outstanding() == []
+        assert not sup.assign(ShardLease(1, 1, 2), ("t1",))
+        assert sup.release(0, sup.handles[0].pid)
+        assert sup.has_capacity()
 
     def test_reap_never_double_reports_unconsumed_tasks(self):
-        sup = self.make_supervisor(workers=1)
+        sup = self.make_supervisor(workers=2)
         assert sup.assign(ShardLease(0, 0, 1), (0, "t"))
         sup.handles[0].process.die()
-        assert sup.reap() == [(0, False)]
+        sup.handles[1].process.die()  # idle: holds nothing to return
+        assert sup.reap() == [0]
+        assert sup.reap() == []
+        assert sup.deaths == 2
+        assert sup.outstanding() == []
+
+    def test_late_reply_from_reaped_worker_keeps_new_holder(self):
+        sup = self.make_supervisor(workers=2)
+        a, b = sup.handles
+        lease = ShardLease(0, 0, 1)
+        assert sup.assign(lease, (0, "t"))
+        assert sup.owner_pid(0) == a.pid
+        a.process.die()  # its ``done`` is still unread in the pipe
+        assert sup.reap() == [0]
+        lease.fail(a.pid, "worker died holding the lease")
+        assert sup.assign(lease, (0, "t"))
+        assert not sup.release(0, a.pid)  # the late ``done`` frees nobody
+        assert sup.owner_pid(0) == b.pid
+        assert sup.outstanding() == [0]
+        assert not sup.has_capacity()
+        assert sup.release(0, b.pid)
+        assert sup.outstanding() == []
 
     def test_collapse_stops_respawns(self):
         sup = self.make_supervisor(workers=2, max_deaths=1)
@@ -505,7 +597,7 @@ class TestSupervisorUnit:
         kills: list[int] = []
         now = [0.0]
         sup = Supervisor(
-            lambda wid: WorkerHandle(wid, _FakeProcess(1000 + wid), _FakeQueue()),
+            lambda wid: WorkerHandle(wid, _FakeProcess(1000 + wid), _FakeConn()),
             workers=2,
             max_worker_deaths=4,
             lease_timeout_s=5.0,
@@ -514,10 +606,9 @@ class TestSupervisorUnit:
         )
         sup.start()
         fresh, stale = ShardLease(0, 0, 1), ShardLease(1, 1, 2)
-        assert sup.assign(stale, (1, "t")) and sup.assign(fresh, (0, "t"))
-        sup.note_started(stale, sup.owner_pid(1))
+        assert sup.assign(stale, (1, "t"))
         now[0] = 10.0
-        sup.note_started(fresh, sup.owner_pid(0))
+        assert sup.assign(fresh, (0, "t"))
         assert sup.kill_stuck({0: fresh, 1: stale}) == [
             h.wid for h in sup.handles if h.pid == sup.owner_pid(1)
         ]
@@ -527,7 +618,6 @@ class TestSupervisorUnit:
         sup = self.make_supervisor(timeout=0.0)
         lease = ShardLease(0, 0, 1)
         assert sup.assign(lease, (0, "t"))
-        sup.note_started(lease, sup.owner_pid(0))
         assert lease.deadline is None
         assert sup.kill_stuck({0: lease}) == []
 
@@ -535,7 +625,7 @@ class TestSupervisorUnit:
         sup = self.make_supervisor(workers=2)
         sup.shutdown(grace_s=0.0)
         for handle in sup.handles:
-            assert handle.sentinel_sent
+            assert handle.sentinel_sent and handle.conn.sent == [None]
             assert not handle.is_alive()  # fake join never exits: killed
 
 
