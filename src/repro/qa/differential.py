@@ -13,6 +13,9 @@ the ``step_naive`` ground truth:
 * scalar-vs-swept schedule steps — walking the instance's sequential
   schedule via ``update_node`` must match composing node-successor rows.
 
+On homogeneous rings, ``differential.transfer_counts`` also diffs the
+transfer-matrix fixed-point and period-two counts against the oracle.
+
 Each check returns a structured violation dict (or ``None``), keyed in
 :data:`CHECKS` so the shrinker and ``finding.json`` replay can re-run a
 single named check deterministically.
@@ -306,6 +309,36 @@ def check_attractor_census(inst: Instance):
     return None
 
 
+def check_transfer_counts(inst: Instance):
+    """Transfer-matrix fixed-point counts vs the scalar oracle's map.
+
+    On a homogeneous ring, ``trace(T**n)`` over the de Bruijn transfer
+    matrix of :mod:`repro.analysis.transfer` must count exactly the codes
+    ``step_naive`` fixes, and the same trace for ``F∘F`` the codes it
+    returns to in two steps.  The matrices come from the rule's lookup
+    table alone, so this pins the census's fixed-point and two-cycle
+    columns with code the census does not share.
+    """
+    from repro.analysis.transfer import transfer_counts
+
+    if inst.spec.space != "ring" or len(inst.spec.rules) != 1:
+        return None
+    succ = inst.oracle_succ
+    codes = np.arange(succ.size, dtype=np.int64)
+    expected = {
+        "fixed_points": int(np.count_nonzero(succ == codes)),
+        "period2_points": int(np.count_nonzero(succ[succ] == codes)),
+    }
+    counts = transfer_counts(inst.ca)
+    got = {
+        "fixed_points": counts.fixed_points,
+        "period2_points": counts.period2_points,
+    }
+    if got != expected:
+        return {"vs": "step_naive", "expected": expected, "got": got}
+    return None
+
+
 def _mc_lane_codes(planes: np.ndarray, n: int, lanes: int) -> np.ndarray:
     """Configuration code of every lane of an ``(n, lanes/64)`` bitplane."""
     bits = np.unpackbits(
@@ -467,6 +500,7 @@ DIFFERENTIAL_CHECKS = {
     "differential.trip_resume": check_trip_resume,
     "differential.schedule_step": check_schedule_step,
     "differential.attractor_census": check_attractor_census,
+    "differential.transfer_counts": check_transfer_counts,
     "differential.mc_step": check_mc_step,
     "differential.mc_sampler": check_mc_sampler,
     "differential.mc_energy": check_mc_energy,
