@@ -8,7 +8,10 @@ the census programme for MAJORITY rings:
 * **fixed points** — exactly the configurations with no isolated run
   (every maximal block of equal states has length >= 2), whose count
   satisfies the exact linear recurrence
-  ``a(n) = 2 a(n-1) - a(n-2) + a(n-4)`` (discovered and verified here);
+  ``a(n) = 2 a(n-1) - a(n-2) + a(n-4)``.  It is proven, not only fitted:
+  ``a(n) = trace(T**n)`` for the 4×4 transfer matrix ``T`` of
+  :mod:`repro.analysis.transfer`, and ``T**4 - 2T**3 + T**2 - I = 0``
+  (Cayley–Hamilton), which ``tests/test_transfer.py`` checks exactly;
 * **Gardens of Eden** — unreachable configurations, whose fraction tends
   to 1: almost every configuration is transient *input*, never output;
 * **cycle configurations** — exactly two per even ring (the alternating
@@ -16,7 +19,7 @@ the census programme for MAJORITY rings:
 
 :func:`find_linear_recurrence` fits minimal-order integer recurrences
 exactly (Fraction arithmetic, no floating point), so a reported recurrence
-is a proof for the measured range, not an approximation.
+holds exactly over the measured range, not approximately.
 """
 
 from __future__ import annotations

@@ -10,10 +10,27 @@ reduction in work, and it is what lifts the attractor-direct census past
 the materialized ``MAX_SWEEP_N`` ceiling.
 
 Representatives are *canonical*: the numerically least code in the orbit
-(:func:`repro.util.bitops.canonical_ring_form`).  Enumeration over a code
-range uses a progressive filter — survivors of ``c <= rot_s(c)`` are
-compacted before the next rotation is tried — so the whole-space scan
-costs about ``2**n · ln n`` word operations rather than ``2**n · 2n``.
+(:func:`repro.util.bitops.canonical_ring_form`).  Read most-significant
+bit first, a code that is least among its rotations is a *necklace*, and
+:func:`necklaces_in_range` generates necklaces instead of testing codes,
+by the Fredricksen–Kessler–Maiorana rule (Ruskey, Savage & Wang,
+"Generating necklaces", J. Algorithms 1992): a prenecklace
+``a_1 .. a_t`` of period ``p`` extends only by ``a_{t+1} >= a_{t+1-p}``,
+keeping ``p`` on equality and taking ``p = t + 1`` above it, and a
+length-``n`` prenecklace is a necklace iff ``p | n``, ``p`` then being
+its rotation period — the cyclic orbit size.  A code range splits into
+aligned power-of-two blocks; a block whose fixed top bits are no
+prenecklace holds no necklace and costs one Python pass over them, and
+every other block extends level by level in numpy over its free low
+bits.  The work is proportional to the prenecklaces in range — about
+``2**n / n`` over the whole space — not to the ``2**n`` codes.
+
+For the dihedral quotient one pass over the necklaces,
+:func:`_reflection_pass`, keeps a necklace iff it is at most the least
+rotation of its reversal, and weights it ``p`` when the two are equal
+(an achiral orbit) and ``2p`` otherwise.  Summed over all
+representatives the weights recover ``2**n`` exactly — the coverage
+identity the census checks at runtime.
 """
 
 from __future__ import annotations
@@ -27,100 +44,168 @@ from repro.util.bitops import reverse_bits_array, rotate_bits_array
 __all__ = [
     "QuotientSpec",
     "quotient_mode",
-    "orbit_reps_in_range",
-    "orbit_weights",
+    "necklaces_in_range",
 ]
 
 #: widest window whose truth table the mirror-symmetry probe will build
 #: (matches the LUT materialization gate in ``UpdateRule.lut``)
 _MAX_PROBE_WIDTH = 16
 
+#: necklaces per slice of the reflection pass (its word arrays stay in a
+#: per-core L2 cache)
+_REFLECT_SLICE = 1 << 15
 
-def _rotation_filter(surv: np.ndarray, n: int) -> np.ndarray:
-    """Survivors that are minimal among all their rotations."""
-    for shift in range(1, n):
-        if surv.size == 0:
-            break
-        surv = surv[surv <= rotate_bits_array(surv, n, shift)]
-    return surv
+#: bytes :meth:`QuotientSpec.reps_in_range` holds per code of its range at
+#: its peak.  Every necklace but ``0**n`` ends in a 1 bit, so a range of
+#: ``c`` codes holds at most ``c/2 + 1`` necklaces, and the generator's
+#: last level extends at most ``c/2`` words.  That level holds at most 22
+#: bytes per word and 10 per child, and the reflection pass at most 27
+#: per necklace; the trivial quotient's codes and unit weights take 16.
+_BYTES_PER_CODE = 16
+
+#: the reflection pass's per-slice scratch: the reversal plus the three
+#: temporaries of one rotation (four slice-sized arrays at peak, the
+#: byte-table reversal needing fewer), with two slices of headroom
+_REFLECT_SCRATCH = 6 * 8 * _REFLECT_SLICE
 
 
-def _reflection_filter(surv: np.ndarray, n: int) -> np.ndarray:
-    """Survivors also minimal among all rotations of their reflection.
+def _prefix_period(prefix: int, m: int) -> int:
+    """Period of the ``m``-bit prenecklace ``prefix`` (read most-significant
+    bit first), or 0 when ``prefix`` is no prenecklace.
 
-    Split out as a named seam: dropping this stage (while keeping
-    dihedral weights) double-counts every chiral orbit — the known-bad
-    mutant ``quotient-reflection-drop`` in :mod:`repro.qa.mutants`.
+    The empty prefix has period 1, so the first generated bit compares
+    against a virtual ``a_0 = 0`` and both of its values keep ``p = 1``.
     """
-    if surv.size == 0:
-        return surv
-    refl = reverse_bits_array(surv, n)
-    keep = np.ones(surv.size, dtype=bool)
-    for shift in range(n):
-        keep &= surv <= rotate_bits_array(refl, n, shift)
-    return surv[keep]
+    p = 1
+    for t in range(2, m + 1):
+        bit = (prefix >> (m - t)) & 1
+        ref = (prefix >> (m - t + p)) & 1
+        if bit < ref:
+            return 0
+        if bit > ref:
+            p = t
+    return p
 
 
-def orbit_reps_in_range(
-    n: int, lo: int, hi: int, reflections: bool = True
-) -> np.ndarray:
-    """Canonical orbit representatives among codes ``lo .. hi - 1``.
+def _aligned_blocks(lo: int, hi: int):
+    """``(base, k)`` for the maximal aligned blocks ``[base, base + 2**k)``
+    that tile ``[lo, hi)``, in ascending order."""
+    while lo < hi:
+        k = (lo & -lo).bit_length() - 1 if lo else (hi - lo).bit_length() - 1
+        while lo + (1 << k) > hi:
+            k -= 1
+        yield lo, k
+        lo += 1 << k
 
-    A code is a representative iff it equals its own canonical form, so
-    restricting to a range is exact: the union over a partition of
-    ``[0, 2**n)`` is the full representative set, which is what lets the
-    process backend shard representative enumeration by code range.
+
+def _extend(
+    words: np.ndarray, periods: np.ndarray, length: int, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Extend ascending length-``length`` prenecklaces to the necklaces
+    of length ``n`` they prefix: ``(codes ascending, periods)``.
+
+    ``a_{t-p}`` is bit ``p - 1`` of a length-``(t-1)`` word.  Every word
+    extends by that bit, keeping ``p``; a word whose bit is 0 also extends
+    by 1, with ``p = t``.  Emitting each word's children in place keeps
+    the level ascending: ``2w`` and ``2w + 1`` sit between the children
+    of the words around ``w``.  The last level emits only children whose
+    period divides ``n``.
     """
-    if hi <= lo:
-        return np.empty(0, dtype=np.uint64)
-    full = (1 << n) - 1
-    # A representative other than the all-ones ring has some 0 bit, hence
-    # a rotation below 2**(n-1): prune the whole upper half up front.
-    half = 1 << (n - 1)
-    if lo >= half:
-        return (
-            np.array([full], dtype=np.uint64)
-            if lo <= full < hi
-            else np.empty(0, dtype=np.uint64)
+    divides = np.array([d > 0 and n % d == 0 for d in range(n + 1)])
+    one = np.uint64(1)
+    for t in range(length + 1, n + 1):
+        ref = words >> (periods - np.uint8(1))
+        ref &= one
+        words <<= one
+        words |= ref
+        count = ref.view(np.int64)  # reuses ref's buffer
+        if t < n:
+            np.subtract(2, count, out=count)
+        else:
+            keep = divides[periods]
+            up = ref == 0
+            lone = up & ~keep  # its only necklace child is 2w + 1, period n
+            words |= lone
+            periods = np.where(lone, np.uint8(n), periods)
+            np.add(keep, up, out=count, dtype=np.int64)
+            del keep, up, lone
+        # A zero bit's two children start equal (2w) and the second
+        # becomes 2w + 1 with period t.
+        words = np.repeat(words, count)
+        periods = np.repeat(periods, count)
+        del ref, count
+        second = words[1:] == words[:-1]
+        words[1:] |= second
+        periods[1:][second] = t
+    return words, periods
+
+
+def necklaces_in_range(
+    n: int, lo: int, hi: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Necklaces among codes ``lo .. hi - 1``: ``(codes ascending, periods)``.
+
+    Codes are ``uint64``; periods (``uint8``) are each necklace's rotation
+    period, so its cyclic orbit holds exactly that many codes.  A code is
+    a necklace iff it is the least of its rotations, so restricting to a
+    range is exact: the union over a partition of ``[0, 2**n)`` is every
+    necklace, which is what lets the process backend shard enumeration by
+    code range.
+    """
+    codes, periods = [], []
+    for base, k in _aligned_blocks(max(lo, 0), min(hi, 1 << n)):
+        m = n - k
+        p = _prefix_period(base >> k, m)
+        if p == 0 or (k == 0 and n % p):
+            continue  # no prenecklace, or a whole word that is no necklace
+        words, per = _extend(
+            np.array([base >> k], dtype=np.uint64),
+            np.array([p], dtype=np.uint8),
+            m,
+            n,
         )
-    surv = np.arange(lo, min(hi, half), dtype=np.uint64)
-    surv = _rotation_filter(surv, n)
-    if reflections:
-        surv = _reflection_filter(surv, n)
-    if lo <= full < hi:
-        surv = np.concatenate([surv, np.array([full], dtype=np.uint64)])
-    return surv
+        codes.append(words)
+        periods.append(per)
+    if not codes:
+        return np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.uint8)
+    if len(codes) == 1:
+        return codes[0], periods[0]
+    return np.concatenate(codes), np.concatenate(periods)
 
 
-def orbit_weights(
-    reps: np.ndarray, n: int, reflections: bool = True
-) -> np.ndarray:
-    """Orbit size of each canonical representative.
-
-    The cyclic orbit size is the minimal rotation period ``p`` (the least
-    divisor ``d`` of ``n`` with ``rot_d(r) == r``); the dihedral orbit is
-    ``p`` when the orbit is achiral (its reflection is one of its own
-    rotations) and ``2p`` otherwise.  Summed over all representatives the
-    weights recover ``2**n`` exactly — the coverage identity the qa
-    differential check enforces.
-    """
-    reps = reps.astype(np.uint64, copy=False)
-    period = np.full(reps.size, n, dtype=np.int64)
-    for d in range(1, n):
-        if n % d:
-            continue
-        fixed = rotate_bits_array(reps, n, d) == reps
-        period[fixed & (period == n)] = d
-    if not reflections:
-        return period
-    # Achiral iff the rotation-canonical form of the reflection is the
-    # representative itself (representatives are rotation-minimal).
-    refl = reverse_bits_array(reps, n)
-    best = refl.copy()
+def _least_reversal_rotation(
+    codes: np.ndarray, n: int, out: np.ndarray
+) -> None:
+    """``out`` = the least rotation of each code's ``n``-bit reversal."""
+    refl = reverse_bits_array(codes, n)
+    out[:] = refl
     for shift in range(1, n):
-        np.minimum(best, rotate_bits_array(refl, n, shift), out=best)
-    achiral = best == reps
-    return np.where(achiral, period, 2 * period)
+        np.minimum(out, rotate_bits_array(refl, n, shift), out=out)
+
+
+def _reflection_pass(
+    necklaces: np.ndarray, periods: np.ndarray, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Dihedral ``(representatives, weights)`` from necklaces and periods.
+
+    ``best`` is the least rotation of each necklace's reversal: a necklace
+    represents its dihedral orbit iff it is at most ``best``, and the
+    orbit is achiral (weight ``p``) iff the two are equal, else ``2p``.
+    ``best`` is built over cache-sized slices.  Split out as a named
+    seam: keeping every necklace here while still weighting dihedrally
+    double-counts each chiral orbit — the known-bad mutant
+    ``quotient-reflection-drop`` in :mod:`repro.qa.mutants`.
+    """
+    best = np.empty_like(necklaces)
+    for lo in range(0, necklaces.size, _REFLECT_SLICE):
+        hi = lo + _REFLECT_SLICE
+        _least_reversal_rotation(necklaces[lo:hi], n, best[lo:hi])
+    keep = necklaces <= best
+    chiral = (necklaces != best)[keep]
+    del best
+    weights = periods[keep].astype(np.int64)
+    weights[chiral] <<= 1
+    return necklaces[keep], weights
 
 
 def _mirror_symmetric(rule, width: int) -> bool:
@@ -182,17 +267,22 @@ class QuotientSpec:
     def for_automaton(cls, ca) -> "QuotientSpec":
         return cls(ca.n, quotient_mode(ca))
 
-    @property
-    def reflections(self) -> bool:
-        return self.mode == "dihedral"
-
     def reps_in_range(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-        """``(representatives, orbit weights)`` for codes ``lo .. hi - 1``."""
+        """``(representatives ascending, orbit weights)`` for codes
+        ``lo .. hi - 1``."""
         if self.mode == "trivial":
             reps = np.arange(lo, hi, dtype=np.uint64)
             return reps, np.ones(reps.size, dtype=np.int64)
-        reps = orbit_reps_in_range(self.n, lo, hi, self.reflections)
-        return reps, orbit_weights(reps, self.n, self.reflections)
+        necklaces, periods = necklaces_in_range(self.n, lo, hi)
+        if self.mode == "cyclic":
+            return necklaces, periods.astype(np.int64)
+        return _reflection_pass(necklaces, periods, self.n)
+
+    def scratch_bytes(self, codes: int) -> int:
+        """Most bytes :meth:`reps_in_range` holds for a ``codes``-code range."""
+        if self.mode == "trivial":
+            return _BYTES_PER_CODE * codes
+        return _BYTES_PER_CODE * codes + _REFLECT_SCRATCH
 
     def describe(self) -> str:
         return f"{self.mode} quotient (n={self.n})"

@@ -51,7 +51,7 @@ LANES = 1 << 18
 #: granularity).
 ATTRACTOR_CHUNK = 1 << 22
 
-#: representative-enumeration sub-range (bounds the arange + filter scratch)
+#: representative-enumeration sub-range (bounds the input stage's scratch)
 ENUM_CHUNK = 1 << 20
 
 #: slots of the census counts vector (all int64; "max_cycle_len" merges by
@@ -316,14 +316,17 @@ class AttractorKernel:
         return counts
 
     def transient_bytes(self) -> int:
-        """Peak per-batch scratch bytes (deterministic budget charging).
+        """Peak per-chunk scratch bytes (deterministic budget charging).
 
         Six plane sets (x0, tortoise, hare, final, current, one step
-        output) of ``n`` planes over ``lanes/64`` words, Brent's per-lane
-        int64 counters, plus the representative-enumeration scratch.
+        output) of ``n`` planes over ``lanes/64`` words; the padded lane
+        codes and Brent's per-lane int64 counters; plus what the
+        quotient's input stage holds for one enumeration sub-range
+        (:meth:`~repro.analysis.quotient.QuotientSpec.scratch_bytes`),
+        which also covers the representatives and weights held while
+        their lanes classify.
         """
         plane_words = self.lanes >> 6
         planes = 6 * self.n * plane_words * 8
-        per_lane = 4 * self.lanes * 8
-        enum = 3 * ENUM_CHUNK * 8
-        return planes + per_lane + enum
+        per_lane = 5 * self.lanes * 8
+        return planes + per_lane + self.quotient.scratch_bytes(ENUM_CHUNK)

@@ -79,18 +79,40 @@ def _mutant_bitplane_parity_drop():
 def _mutant_quotient_reflection_drop():
     """Dihedral quotient forgets to minimize over reflections.
 
-    Keeps both partners of every chiral necklace pair as "orbit
-    representatives" while :func:`~repro.analysis.quotient.orbit_weights`
-    still assigns full dihedral weights — so the census overcounts
-    exactly where reflection symmetry mattered.  The smallest chiral
-    binary necklace pair lives at ``n = 6`` (e.g. ``001011``/``001101``),
-    which is what lets the self-test shrink this below the n <= 6 bar.
+    Keeps every necklace as an "orbit representative" while still
+    weighting it dihedrally (``p`` when achiral, else ``2p``) — so the
+    census overcounts exactly where reflection symmetry mattered.  The
+    smallest chiral binary necklace pair lives at ``n = 6`` (e.g.
+    ``001011``/``001101``), which is what lets the self-test shrink this
+    below the n <= 6 bar.
     """
 
-    def _reflection_filter(reps, n):
-        return reps  # BUG: chiral partners both survive as reps
+    def _reflection_pass(necklaces, periods, n):
+        best = np.empty_like(necklaces)
+        quotient._least_reversal_rotation(necklaces, n, best)
+        weights = periods.astype(np.int64)
+        weights[necklaces != best] <<= 1
+        return necklaces, weights  # BUG: chiral partners both survive as reps
 
-    return [(quotient, "_reflection_filter", _reflection_filter)]
+    return [(quotient, "_reflection_pass", _reflection_pass)]
+
+
+def _mutant_necklace_period_drop():
+    """Necklace generator reports every rotation period as ``n``.
+
+    Weighting each cyclic orbit by the ring size instead of its period
+    overcounts every periodic necklace (``0000``, ``0101``, ...), so the
+    census's coverage identity fails: at ``n = 4`` the six necklaces
+    weigh 24, not 16.
+    """
+    original = quotient.necklaces_in_range
+
+    def necklaces_in_range(n, lo, hi):
+        codes, periods = original(n, lo, hi)
+        # BUG: the generator's period is dropped for the ring size.
+        return codes, np.full(codes.size, n, dtype=np.uint8)
+
+    return [(quotient, "necklaces_in_range", necklaces_in_range)]
 
 
 def _mutant_mc_sampler_tail_drop():
@@ -167,6 +189,7 @@ MUTANTS = {
     "bitplane-stale-bit": _mutant_bitplane_stale_bit,
     "bitplane-parity-drop": _mutant_bitplane_parity_drop,
     "quotient-reflection-drop": _mutant_quotient_reflection_drop,
+    "necklace-period-drop": _mutant_necklace_period_drop,
     "mc-sampler-tail-drop": _mutant_mc_sampler_tail_drop,
     "mc-sweep-level-merge": _mutant_mc_sweep_level_merge,
     "mc-energy-wrap-drop": _mutant_mc_energy_wrap_drop,

@@ -163,18 +163,20 @@ def rotate_bits_array(codes: np.ndarray, n: int, shift: int) -> np.ndarray:
 def reverse_bits_array(codes: np.ndarray, n: int) -> np.ndarray:
     """Vectorized :func:`reverse_bits` over a ``uint64`` code array.
 
-    Mirrors each whole 64-bit word via the byte-reversal table, then
-    shifts the result down so the low ``n`` bits land back at bit 0.
+    Mirrors the low ``ceil(n / 8)`` bytes of each word via the
+    byte-reversal table, then shifts the result down so the low ``n``
+    bits land back at bit 0.
     """
     if n <= 0 or n > 64:
         raise ValueError(f"bit width must be in 1..64, got {n}")
     v = codes.astype(np.uint64, copy=False)
+    nbytes = (n + 7) // 8
     out = np.zeros_like(v)
-    for byte in range(8):
+    for byte in range(nbytes):
         part = _BYTE_REV[((v >> np.uint64(8 * byte)) & np.uint64(0xFF)).astype(np.int64)]
-        out |= part << np.uint64(8 * (7 - byte))
-    if n < 64:
-        out >>= np.uint64(64 - n)
+        out |= part << np.uint64(8 * (nbytes - 1 - byte))
+    if n < 8 * nbytes:
+        out >>= np.uint64(8 * nbytes - n)
     return out
 
 

@@ -19,12 +19,7 @@ from repro.analysis.census import (
     majority_ring_census,
 )
 from repro.analysis.cycles import FunctionalGraph, cycle_length_counts
-from repro.analysis.quotient import (
-    QuotientSpec,
-    orbit_reps_in_range,
-    orbit_weights,
-    quotient_mode,
-)
+from repro.analysis.quotient import QuotientSpec, quotient_mode
 from repro.core.automaton import CellularAutomaton
 from repro.core.heterogeneous import HeterogeneousCA
 from repro.core.rules import MajorityRule, WolframRule, XorRule
@@ -37,6 +32,7 @@ from repro.perf.attractor import (
 )
 from repro.perf.base import MAX_ATTRACTOR_N, BackendUnsupported
 from repro.spaces.line import Line, Ring
+from repro.util.bitops import canonical_ring_form, reverse_bits, rotate_bits
 
 
 def _automata():
@@ -128,8 +124,8 @@ class TestConfigurationQuotient:
     @given(st.integers(min_value=1, max_value=14), st.booleans())
     @settings(max_examples=40, deadline=None)
     def test_weights_cover_space(self, n, reflections):
-        reps = orbit_reps_in_range(n, 0, 1 << n, reflections)
-        weights = orbit_weights(reps, n, reflections)
+        spec = QuotientSpec(n, "dihedral" if reflections else "cyclic")
+        reps, weights = spec.reps_in_range(0, 1 << n)
         assert int(weights.sum()) == 1 << n
 
     @given(
@@ -138,19 +134,18 @@ class TestConfigurationQuotient:
     )
     @settings(max_examples=40, deadline=None)
     def test_range_union_is_exact(self, n, pieces):
-        full = orbit_reps_in_range(n, 0, 1 << n)
+        spec = QuotientSpec(n, "dihedral")
+        full, _ = spec.reps_in_range(0, 1 << n)
         cuts = np.linspace(0, 1 << n, pieces + 1).astype(int)
         parts = [
-            orbit_reps_in_range(n, int(lo), int(hi))
+            spec.reps_in_range(int(lo), int(hi))[0]
             for lo, hi in zip(cuts[:-1], cuts[1:])
         ]
         np.testing.assert_array_equal(np.concatenate(parts), full)
 
     def test_reps_are_canonical_minima(self):
-        from repro.util.bitops import canonical_ring_form
-
         n = 11
-        reps = orbit_reps_in_range(n, 0, 1 << n)
+        reps, _ = QuotientSpec(n, "dihedral").reps_in_range(0, 1 << n)
         np.testing.assert_array_equal(canonical_ring_form(reps, n), reps)
         # and every code canonicalizes onto exactly this set
         codes = np.arange(1 << n, dtype=np.uint64)
@@ -199,6 +194,145 @@ class TestConfigurationQuotient:
             )
         # the quotient earns its keep: strictly fewer reps than configs
         assert rows[0].orbit_reps < rows[2].orbit_reps == 1 << 10
+
+
+def _brute_quotient(n: int, reflections: bool):
+    """Every canonical code and its orbit size, by canonicalizing all codes."""
+    codes = np.arange(1 << n, dtype=np.uint64)
+    canon = canonical_ring_form(codes, n, reflections).astype(np.int64)
+    sizes = np.bincount(canon, minlength=1 << n)
+    reps = np.flatnonzero(sizes)
+    return reps.astype(np.uint64), sizes[reps].astype(np.int64)
+
+
+class TestNecklaceGeneration:
+    """``QuotientSpec.reps_in_range`` against canonicalizing every code."""
+
+    @staticmethod
+    def _splits(n: int, rng) -> list[list[tuple[int, int]]]:
+        total = 1 << n
+        widths = {0 if n <= 8 else 1, 3, n // 2, n - 1, n}
+        aligned = [
+            [(lo, lo + (1 << j)) for lo in range(0, total, 1 << j)]
+            for j in sorted(w for w in widths if w <= n)
+        ]
+        unaligned = []
+        for pieces in (3, 7):
+            cuts = np.sort(rng.integers(0, total + 1, size=pieces - 1))
+            cuts = np.concatenate([[0], cuts, [total]]).astype(int)
+            unaligned.append(list(zip(cuts[:-1].tolist(), cuts[1:].tolist())))
+        return aligned + unaligned
+
+    @pytest.mark.parametrize("mode", ["cyclic", "dihedral"])
+    def test_matches_brute_force(self, mode):
+        rng = np.random.default_rng(19)
+        for n in range(1, 15):
+            reps, weights = _brute_quotient(n, mode == "dihedral")
+            spec = QuotientSpec(n, mode)
+            for split in self._splits(n, rng):
+                for lo, hi in split:
+                    got_reps, got_weights = spec.reps_in_range(lo, hi)
+                    inside = (reps >= lo) & (reps < hi)
+                    np.testing.assert_array_equal(got_reps, reps[inside])
+                    np.testing.assert_array_equal(got_weights, weights[inside])
+                    assert got_reps.dtype == np.uint64
+                    assert got_weights.dtype == np.int64
+
+    @pytest.mark.parametrize("n", [33, MAX_ATTRACTOR_N])
+    @pytest.mark.parametrize("mode", ["cyclic", "dihedral"])
+    def test_matches_brute_force_on_widest_rings(self, mode, n):
+        """Small ranges of the widest rings, where ``2n`` bits exceed a word:
+        representatives against ``canonical_ring_form``, weights against
+        the size of each orbit's image set under scalar rotation and
+        reversal."""
+        reflections = mode == "dihedral"
+        rng = np.random.default_rng(n)
+        start = int(rng.integers(0, 1 << (n - 4)))
+        interior = int("0001" * 8 + "1" * (n - 32), 2) - 150
+        ranges = [
+            (0, 1 << 10),
+            (interior, interior + 300),
+            (start, start + 300),
+            ((1 << n) - 300, 1 << n),
+        ]
+        spec = QuotientSpec(n, mode)
+        found = 0
+        for lo, hi in ranges:
+            codes = np.arange(lo, hi, dtype=np.uint64)
+            reps = codes[canonical_ring_form(codes, n, reflections) == codes]
+            weights = []
+            for c in reps.tolist():
+                images = {rotate_bits(c, n, s) for s in range(n)}
+                if reflections:
+                    images |= {rotate_bits(reverse_bits(c, n), n, s) for s in range(n)}
+                weights.append(len(images))
+            got_reps, got_weights = spec.reps_in_range(lo, hi)
+            np.testing.assert_array_equal(got_reps, reps)
+            np.testing.assert_array_equal(got_weights, np.array(weights, dtype=np.int64))
+            found += reps.size
+        assert found > 1 << 8
+
+    def test_non_prenecklace_prefixes_hold_nothing(self):
+        """n = 20 in 2**8-code ranges: each range's 12-bit prefix decides."""
+        n, low = 20, 8
+        prefixes = np.arange(1 << (n - low), dtype=np.uint64)
+        # A prenecklace padded with ones is a necklace, so a prefix is a
+        # prenecklace iff its ones-padding is its own least rotation.
+        padded = (prefixes << np.uint64(low)) | np.uint64((1 << low) - 1)
+        prenecklace = canonical_ring_form(padded, n, reflections=False) == padded
+        for mode in ("cyclic", "dihedral"):
+            reps, weights = _brute_quotient(n, mode == "dihedral")
+            spec = QuotientSpec(n, mode)
+            for prefix in range(1 << (n - low)):
+                lo, hi = prefix << low, (prefix + 1) << low
+                got_reps, got_weights = spec.reps_in_range(lo, hi)
+                inside = (reps >= lo) & (reps < hi)
+                np.testing.assert_array_equal(got_reps, reps[inside])
+                np.testing.assert_array_equal(got_weights, weights[inside])
+                if not prenecklace[prefix]:
+                    assert got_reps.size == 0
+                elif mode == "cyclic":
+                    assert got_reps.size > 0
+
+    def test_period_drop_breaks_coverage_at_n4(self):
+        from repro.qa.mutants import active_mutant
+
+        ca = CellularAutomaton(Ring(4), MajorityRule(), memory=True)
+        with active_mutant("necklace-period-drop"):
+            partial = build_attractor_census(ca)
+        assert not partial.complete
+        assert "covered 24 of 16" in partial.reason
+
+    def test_reflection_drop_keeps_chiral_pairs(self):
+        from repro.qa.mutants import active_mutant
+
+        spec = QuotientSpec(6, "dihedral")
+        reps, weights = spec.reps_in_range(0, 1 << 6)
+        with active_mutant("quotient-reflection-drop"):
+            bad_reps, bad_weights = spec.reps_in_range(0, 1 << 6)
+        assert {0b001011, 0b001101} <= set(bad_reps.tolist())
+        assert len({0b001011, 0b001101} & set(reps.tolist())) == 1
+        assert int(bad_weights.sum()) > int(weights.sum()) == 1 << 6
+
+
+class TestScratchCharge:
+    @pytest.mark.parametrize("n", [26, 30])
+    def test_transient_bytes_bound_census_range_peak(self, n):
+        import tracemalloc
+
+        ca = CellularAutomaton(Ring(n), MajorityRule(), memory=True)
+        kernel = AttractorKernel(ca)
+        charge = kernel.transient_bytes()
+        # The first chunk is the densest in necklaces; the second is an
+        # interior one that is nearly as dense.
+        for lo in (0, kernel.chunk):
+            tracemalloc.start()
+            try:
+                kernel.census_range(lo, lo + kernel.chunk)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= charge, (n, lo, peak, charge)
 
 
 class TestScheduleQuotient:
