@@ -36,7 +36,7 @@ def test_per_config_step_all_baseline(benchmark, n):
 
 
 def test_classification_cost(benchmark):
-    """FP/CC/TC classification on a 2**16 phase space (peel + label)."""
+    """FP/CC/TC classification on a 2**16 phase space (jump + label)."""
     ca = CellularAutomaton(Ring(16), MajorityRule())
     succ = ca.step_all()
 

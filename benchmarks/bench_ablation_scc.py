@@ -20,7 +20,7 @@ from repro.spaces.line import Ring
 def change_graph():
     ca = CellularAutomaton(Ring(12), MajorityRule())
     nps = NondetPhaseSpace.from_automaton(ca)
-    srcs, dsts, _ = nps._change_edges
+    srcs, dsts = nps._change_edges
     return srcs, dsts, nps.size
 
 
@@ -41,7 +41,7 @@ def test_agreement_on_cyclic_graph(benchmark):
     """Both find the same component structure where cycles DO exist (XOR)."""
     ca = CellularAutomaton(Ring(8), XorRule())
     nps = NondetPhaseSpace.from_automaton(ca)
-    srcs, dsts, _ = nps._change_edges
+    srcs, dsts = nps._change_edges
 
     def both():
         a = scc_labels(srcs, dsts, nps.size)

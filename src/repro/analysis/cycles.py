@@ -4,8 +4,12 @@ A deterministic phase space is a *functional graph*: every configuration has
 exactly one successor, so the graph decomposes into disjoint cycles with
 trees hanging off them ("rho" shapes).  :class:`FunctionalGraph` extracts
 the full decomposition — cycle membership, attractor labels, distance to the
-attractor, basins — with vectorized in-degree peeling rather than per-node
-graph traversal.
+attractor, basins — by pointer jumping (Wyllie-style doubling) over whole
+arrays: each round squares a map with one numpy gather, so a graph whose
+deepest transient is ``T`` steps long needs ⌈log2 T⌉ + 1 rounds, and the
+optional budget is polled once per round.  :func:`cycles_python`, Kahn's
+in-degree peel one node at a time, is kept as the reference it is tested
+against.
 
 For the nondeterministic sequential phase spaces we need strongly connected
 components of a sparse digraph; :func:`strongly_connected_sizes` wraps
@@ -23,25 +27,82 @@ from scipy.sparse import csgraph
 __all__ = [
     "FunctionalGraph",
     "cycle_length_counts",
+    "cycles_python",
     "strongly_connected_sizes",
     "scc_labels",
     "scc_labels_python",
 ]
 
-#: loop iterations between budget checks in the Python decomposition loops
+#: nodes between budget checks in the Python walk that lists the cycles
 #: (a check is a few attribute reads; 2**16 keeps the overhead invisible
 #: while bounding cancellation latency to well under a second).
 _CHECK_EVERY = 1 << 16
 
 
+def _cycle_mask(succ: np.ndarray, budget=None) -> np.ndarray:
+    """Cycle nodes of ``succ``: the image of ``succ**(2**k)`` once it stops
+    shrinking.
+
+    The images of ``succ**m`` are nested and equal the cycle nodes exactly
+    when ``m >= T``.  Two consecutive ones of equal size are equal sets,
+    which ``succ`` then permutes, so the first round whose squared map has
+    an image no smaller than the last one's stops the loop: after
+    ⌈log2 T⌉ + 1 rounds of one gather and one scatter each.  At most two
+    int64 powers and the mask are live.
+    """
+    image = np.zeros(succ.size, dtype=bool)
+    image[succ] = True
+    count = np.count_nonzero(image)
+    power = succ
+    while True:
+        if budget is not None:
+            budget.check()
+        power = power[power]
+        image.fill(False)
+        image[power] = True
+        shrunk = np.count_nonzero(image)
+        if shrunk == count:
+            return image
+        count = shrunk
+
+
+def _descend(
+    succ: np.ndarray, on_cycle: np.ndarray, budget=None
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(entry, dist)``: each node's first cycle node and the steps to it.
+
+    Pointer jumping that stops at cycle nodes: ``entry`` starts as ``succ``
+    with every cycle node pointing at itself and ``dist`` as 1 off the
+    cycles, 0 on them.  Each round adds the distance still to go from
+    ``entry`` and squares ``entry``; once that distance is 0 everywhere,
+    every ``entry`` is a cycle node, after ⌈log2 T⌉ + 1 rounds.  At most
+    three int64 arrays are live.
+    """
+    entry = succ.copy()
+    cycle_nodes = np.flatnonzero(on_cycle)
+    entry[cycle_nodes] = cycle_nodes
+    del cycle_nodes
+    dist = (~on_cycle).astype(np.int64)
+    while True:
+        if budget is not None:
+            budget.check()
+        ahead = dist[entry]
+        if not ahead.any():
+            return entry, dist
+        dist += ahead
+        del ahead  # freed before the squaring allocates the next entry
+        entry = entry[entry]
+
+
 class FunctionalGraph:
     """Analysis of a map ``succ: {0..N-1} -> {0..N-1}`` given as an array.
 
-    An optional :class:`~repro.core.budget.Budget` makes the O(N) Python
-    decomposition loops cooperative: they poll the budget every
-    ``2**16`` iterations and raise
-    :class:`~repro.core.budget.BudgetExceeded` instead of running
-    unbounded when the deadline passes or the token is cancelled.
+    :attr:`on_cycle`, :attr:`steps_to_cycle` and :attr:`attractor_of` are
+    pointer jumps of ⌈log2 T⌉ + 1 numpy rounds each, ``T`` the deepest
+    transient.  An optional :class:`~repro.core.budget.Budget` is polled
+    once per round, and every ``2**16`` nodes of the Python walk that lists
+    :attr:`cycles`; a passed deadline or a cancelled token raises
+    :class:`~repro.core.budget.BudgetExceeded` there.
     """
 
     def __init__(self, succ: np.ndarray, budget=None):
@@ -61,37 +122,9 @@ class FunctionalGraph:
     # -- core decomposition ---------------------------------------------------
 
     @cached_property
-    def _peel(self) -> tuple[np.ndarray, np.ndarray]:
-        """In-degree peeling: (on_cycle mask, peel order of tree nodes).
-
-        Repeatedly delete in-degree-0 nodes (Kahn's algorithm specialised to
-        out-degree 1).  What survives is exactly the set of cycle nodes; the
-        deletion order is a topological order of the transient trees, with
-        every node preceding its successor's deletion.
-        """
-        indeg = np.bincount(self.succ, minlength=self.size)
-        order = np.empty(self.size, dtype=np.int64)
-        head = 0
-        tail = 0
-        zero = np.flatnonzero(indeg == 0)
-        order[: zero.size] = zero
-        tail = zero.size
-        while head < tail:
-            v = order[head]
-            head += 1
-            self._check_budget(head)
-            w = self.succ[v]
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                order[tail] = w
-                tail += 1
-        on_cycle = indeg > 0
-        return on_cycle, order[:tail]
-
-    @property
     def on_cycle(self) -> np.ndarray:
         """Boolean mask: node lies on a cycle (fixed points included)."""
-        return self._peel[0]
+        return _cycle_mask(self.succ, self._budget)
 
     @cached_property
     def fixed_points(self) -> np.ndarray:
@@ -100,7 +133,8 @@ class FunctionalGraph:
 
     @cached_property
     def cycles(self) -> list[list[int]]:
-        """All cycles, each listed in successor order (fixed points included)."""
+        """All cycles (fixed points included), ordered by their smallest
+        node, each listed in successor order from that node."""
         on_cycle = self.on_cycle
         visited = np.zeros(self.size, dtype=bool)
         out: list[list[int]] = []
@@ -127,29 +161,16 @@ class FunctionalGraph:
     @cached_property
     def attractor_of(self) -> np.ndarray:
         """Index (into :attr:`cycles`) of the attractor each node falls into."""
-        label = np.full(self.size, -1, dtype=np.int64)
-        for k, cyc in enumerate(self.cycles):
-            label[cyc] = k
-        on_cycle, peel_order = self._peel
-        # Process transient nodes in reverse peel order: each node's
-        # successor is deleted after it, hence already labelled in reverse.
-        for tick, v in enumerate(peel_order[::-1]):
-            self._check_budget(tick)
-            label[v] = label[self.succ[v]]
-        if np.any(label < 0):  # pragma: no cover - would indicate a bug
-            raise AssertionError("attractor labelling incomplete")
-        return label
+        entry = _descend(self.succ, self.on_cycle, self._budget)[0]
+        label = np.empty(self.size, dtype=np.int64)  # read at cycle nodes only
+        for k, cycle in enumerate(self.cycles):
+            label[cycle] = k
+        return label[entry]
 
     @cached_property
     def steps_to_cycle(self) -> np.ndarray:
         """Number of steps from each node to the first on-cycle node."""
-        dist = np.zeros(self.size, dtype=np.int64)
-        _, peel_order = self._peel
-        for tick, v in enumerate(peel_order[::-1]):
-            self._check_budget(tick)
-            dist[v] = dist[self.succ[v]] + 1 if not self.on_cycle[self.succ[v]] else 1
-        dist[self.on_cycle] = 0
-        return dist
+        return _descend(self.succ, self.on_cycle, self._budget)[1]
 
     # -- derived views ----------------------------------------------------------
 
@@ -182,25 +203,16 @@ def cycle_length_counts(graph: FunctionalGraph) -> dict[str, int]:
     The comparator for the attractor-direct kernel
     (:mod:`repro.perf.attractor`): the same four counts — fixed points,
     configurations on proper cycles, configurations on two-cycles, and
-    the longest cycle length — computed the classical way from a stored
-    successor array, so the two paths can be diffed byte for byte.
+    the longest cycle length — computed the classical way, by
+    :func:`cycles_python` over the stored successor array, so the two
+    paths can be diffed byte for byte.
     """
-    fixed_points = int(graph.fixed_points.size)
-    cycle_configs = 0
-    two_cycle_configs = 0
-    max_cycle_len = 0
-    for cycle in graph.cycles:
-        length = len(cycle)
-        max_cycle_len = max(max_cycle_len, length)
-        if length >= 2:
-            cycle_configs += length
-            if length == 2:
-                two_cycle_configs += length
+    lengths = [len(cycle) for cycle in cycles_python(graph.succ)]
     return {
-        "fixed_points": fixed_points,
-        "cycle_configs": cycle_configs,
-        "two_cycle_configs": two_cycle_configs,
-        "max_cycle_len": max_cycle_len,
+        "fixed_points": lengths.count(1),
+        "cycle_configs": sum(length for length in lengths if length >= 2),
+        "two_cycle_configs": 2 * lengths.count(2),
+        "max_cycle_len": max(lengths),
     }
 
 
@@ -299,3 +311,48 @@ def scc_labels_python(
                 parent = work[-1][0]
                 lowlink[parent] = min(lowlink[parent], lowlink[v])
     return n_components, labels
+
+
+def cycles_python(succ: np.ndarray) -> list[list[int]]:
+    """Reference cycle listing: Kahn's in-degree peel in pure Python.
+
+    Same contract as :attr:`FunctionalGraph.cycles`.  Repeatedly deletes an
+    in-degree-0 node (Kahn's algorithm specialised to out-degree 1), one
+    node per Python iteration; the survivors are exactly the cycle nodes,
+    each cycle then walked in successor order from its smallest node.  It
+    shares no code with :class:`FunctionalGraph`: it is the oracle the
+    pointer jumps are tested against (``tests/test_cycles.py``,
+    ``differential.functional_graph``) and, through
+    :func:`cycle_length_counts`, the classical baseline the
+    attractor-direct census is diffed and timed against
+    (``benchmarks/bench_attractor_census.py``).
+    """
+    succ = np.asarray(succ, dtype=np.int64).ravel()
+    size = succ.size
+    indeg = np.bincount(succ, minlength=size)
+    order = np.empty(size, dtype=np.int64)
+    zero = np.flatnonzero(indeg == 0)
+    order[: zero.size] = zero
+    head = 0
+    tail = zero.size
+    while head < tail:
+        v = order[head]
+        head += 1
+        w = succ[v]
+        indeg[w] -= 1
+        if indeg[w] == 0:
+            order[tail] = w
+            tail += 1
+    visited = indeg == 0  # peeled nodes count as visited
+    out: list[list[int]] = []
+    for start in np.flatnonzero(~visited):
+        if visited[start]:
+            continue
+        cyc = []
+        v = int(start)
+        while not visited[v]:
+            visited[v] = True
+            cyc.append(v)
+            v = int(succ[v])
+        out.append(cyc)
+    return out

@@ -38,9 +38,9 @@ def _tree_encodings(fg: FunctionalGraph) -> list[tuple]:
 
     Node ``v``'s tree consists of all transient nodes whose forward orbit
     first meets the cycles at ``v``; children are the *predecessors* of
-    ``v`` that are not themselves on a cycle.  Computed bottom-up along
-    the peel order (children are always peeled before their parent edge's
-    target is finalised).
+    ``v`` that are not themselves on a cycle.  Computed bottom-up by an
+    iterative post-order walk, so every child is encoded before its
+    parent.
     """
     size = fg.size
     children: list[list[int]] = [[] for _ in range(size)]

@@ -177,7 +177,7 @@ class NondetStats:
 def nondet_stats(nps: NondetPhaseSpace) -> NondetStats:
     """Compute :class:`NondetStats` for a sequential phase space."""
     comps = nps.proper_cycle_components()
-    srcs, _, _ = nps._change_edges
+    srcs, _ = nps._change_edges
     return NondetStats(
         configurations=nps.size,
         fixed_points=int(nps.fixed_points.size),

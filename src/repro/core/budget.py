@@ -72,9 +72,10 @@ T = TypeVar("T")
 SUCC_BYTES_PER_STATE = 8
 
 #: peak bytes per configuration of a governed deterministic phase-space
-#: build *including* cycle analysis: the successor array plus
-#: :class:`~repro.analysis.cycles.FunctionalGraph`'s in-degree and peel
-#: arrays (int64 each) and the on-cycle/classes masks (1 byte each).
+#: build *including* cycle analysis: the successor array plus the two
+#: int64 powers of it that :class:`~repro.analysis.cycles.FunctionalGraph`'s
+#: cycle-node jump holds, its image mask, and the classes mask (1 byte
+#: each; the image is kept as the on-cycle mask).
 PHASE_ANALYSIS_BYTES_PER_STATE = 26
 
 #: peak bytes per (configuration, node) pair of a governed sequential

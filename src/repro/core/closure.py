@@ -42,7 +42,7 @@ class ReachabilityClosure:
             )
         self.nps = nps
         size = nps.size
-        srcs, dsts, _ = nps._change_edges
+        srcs, dsts = nps._change_edges
 
         n_comp, labels = scc_labels(srcs, dsts, size)
         self.labels = labels

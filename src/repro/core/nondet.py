@@ -91,25 +91,23 @@ class NondetPhaseSpace:
         return [(i, int(self.node_succ[i, code])) for i in range(self.n_nodes)]
 
     @cached_property
-    def _change_edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Edges that actually change the configuration: (src, dst, node)."""
-        srcs, dsts, nodes = [], [], []
+    def _change_edges(self) -> tuple[np.ndarray, np.ndarray]:
+        """Edges that actually change the configuration: (src, dst)."""
+        srcs, dsts = [], []
         codes = np.arange(self.size, dtype=np.int64)
         for i in range(self.n_nodes):
             succ = self.node_succ[i]
             mask = succ != codes
             srcs.append(codes[mask])
             dsts.append(succ[mask])
-            nodes.append(np.full(int(mask.sum()), i, dtype=np.int64))
         return (
             np.concatenate(srcs) if srcs else np.empty(0, dtype=np.int64),
             np.concatenate(dsts) if dsts else np.empty(0, dtype=np.int64),
-            np.concatenate(nodes) if nodes else np.empty(0, dtype=np.int64),
         )
 
     @cached_property
     def _union_csr(self) -> sparse.csr_matrix:
-        srcs, dsts, _ = self._change_edges
+        srcs, dsts = self._change_edges
         return sparse.csr_matrix(
             (np.ones(srcs.size, dtype=np.int8), (srcs, dsts)),
             shape=(self.size, self.size),
@@ -151,7 +149,7 @@ class NondetPhaseSpace:
 
     @cached_property
     def _scc(self) -> tuple[int, np.ndarray]:
-        srcs, dsts, _ = self._change_edges
+        srcs, dsts = self._change_edges
         return scc_labels(srcs, dsts, self.size)
 
     def has_proper_cycle(self) -> bool:
@@ -265,7 +263,7 @@ class NondetPhaseSpace:
 
         The SCA analogue of Gardens of Eden; in Fig. 1(b), ``00`` is one.
         """
-        srcs, dsts, _ = self._change_edges
+        srcs, dsts = self._change_edges
         indeg = np.bincount(dsts, minlength=self.size)
         return np.flatnonzero(indeg == 0)
 

@@ -35,8 +35,9 @@ from repro.util.bitops import config_str
 
 __all__ = ["ConfigClass", "PhaseSpace", "build_phase_space"]
 
-#: extra per-configuration bytes the cycle analysis holds beyond ``succ``
-#: (in-degree + peel order int64, on-cycle + classes masks).
+#: extra per-configuration bytes the cycle analysis holds beyond ``succ``:
+#: the two int64 powers of ``succ`` and the image mask of the cycle-node
+#: jump, then the classes mask beside the kept on-cycle mask.
 _ANALYSIS_EXTRA_PER_STATE = PHASE_ANALYSIS_BYTES_PER_STATE - SUCC_BYTES_PER_STATE
 
 
@@ -130,7 +131,8 @@ class PhaseSpace:
 
     def has_proper_cycle(self) -> bool:
         """True iff some configuration is on a cycle of period >= 2."""
-        return len(self.graph.proper_cycles) > 0
+        graph = self.graph
+        return bool(np.count_nonzero(graph.on_cycle) > graph.fixed_points.size)
 
     def cycle_lengths(self) -> list[int]:
         """Sorted multiset of attractor cycle lengths."""

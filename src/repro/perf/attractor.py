@@ -1,7 +1,7 @@
 """Attractor-direct SWAR cycle kernel: 64 trajectories per machine word.
 
 The materialized pipeline stores the full ``2**n`` successor array and
-peels it (:mod:`repro.analysis.cycles`), which caps exact sweeps at
+analyses it (:mod:`repro.analysis.cycles`), which caps exact sweeps at
 ``MAX_SWEEP_N``.  This kernel never stores the global map: it packs 64
 *trajectories* into each ``uint64`` word — plane ``j``, word ``w``, bit
 ``t`` holds bit ``j`` of trajectory lane ``64*w + t`` — and advances all

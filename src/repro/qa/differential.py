@@ -14,7 +14,9 @@ the ``step_naive`` ground truth:
   schedule via ``update_node`` must match composing node-successor rows.
 
 On homogeneous rings, ``differential.transfer_counts`` also diffs the
-transfer-matrix fixed-point and period-two counts against the oracle.
+transfer-matrix fixed-point and period-two counts against the oracle, and
+on every instance ``differential.functional_graph`` diffs the cycle
+analysis of the oracle's successor array against the reference peel.
 
 Each check returns a structured violation dict (or ``None``), keyed in
 :data:`CHECKS` so the shrinker and ``finding.json`` replay can re-run a
@@ -186,6 +188,63 @@ def check_phase_digest(inst: Instance):
                 "vs": "step_naive",
                 "digest": digest,
                 "expected_digest": inst.oracle_digest,
+            }
+    return None
+
+
+def check_functional_graph(inst: Instance):
+    """Pointer-jumping :class:`FunctionalGraph` vs the reference peel.
+
+    On the scalar oracle's successor array, ``on_cycle`` and ``cycles``
+    must match :func:`~repro.analysis.cycles.cycles_python` (Kahn's
+    in-degree peel), and ``steps_to_cycle`` and ``attractor_of`` a
+    brute-force walk of every orbit to its first reference cycle node.
+    The phase digests run the same jumps on both sides of their diff, so
+    only this check can see a bug in them (the
+    ``cycle-mask-round-early`` mutant).
+    """
+    from repro.analysis.cycles import FunctionalGraph, cycles_python
+
+    succ = inst.oracle_succ
+    cycles = cycles_python(succ)
+    index = {v: k for k, cycle in enumerate(cycles) for v in cycle}
+    on_cycle = np.zeros(succ.size, dtype=np.int64)
+    on_cycle[list(index)] = 1
+    steps = np.zeros(succ.size, dtype=np.int64)
+    attractor = np.zeros(succ.size, dtype=np.int64)
+    for v in range(succ.size):
+        w = v
+        while w not in index:
+            w = int(succ[w])
+            steps[v] += 1
+        attractor[v] = index[w]
+    graph = FunctionalGraph(succ)
+    got = graph.on_cycle.astype(np.int64)
+    if not np.array_equal(got, on_cycle):
+        return {
+            "vs": "cycles_python",
+            "field": "on_cycle",
+            **_diff_codes(on_cycle, got),
+        }
+    if graph.cycles != cycles:
+        k = next(
+            k for k in range(max(len(cycles), len(graph.cycles)))
+            if graph.cycles[k : k + 1] != cycles[k : k + 1]
+        )
+        return {
+            "vs": "cycles_python",
+            "field": "cycles",
+            "index": k,
+            "expected": cycles[k : k + 1],
+            "got": graph.cycles[k : k + 1],
+        }
+    for field, expected in (("steps_to_cycle", steps), ("attractor_of", attractor)):
+        got = getattr(graph, field)
+        if not np.array_equal(got, expected):
+            return {
+                "vs": "orbit_walk",
+                "field": field,
+                **_diff_codes(expected, got),
             }
     return None
 
@@ -497,6 +556,7 @@ DIFFERENTIAL_CHECKS = {
     "differential.step_all": check_step_all,
     "differential.node_successors": check_node_successors,
     "differential.phase_digest": check_phase_digest,
+    "differential.functional_graph": check_functional_graph,
     "differential.trip_resume": check_trip_resume,
     "differential.schedule_step": check_schedule_step,
     "differential.attractor_census": check_attractor_census,

@@ -14,6 +14,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
+import repro.analysis.cycles as cycles
 import repro.analysis.quotient as quotient
 import repro.mc.sampler as mc_sampler
 import repro.perf.attractor as attractor
@@ -115,6 +116,34 @@ def _mutant_necklace_period_drop():
     return [(quotient, "necklaces_in_range", necklaces_in_range)]
 
 
+def _mutant_cycle_mask_round_early():
+    """Cycle-node jump returns one round before the image stops shrinking.
+
+    The images of ``succ**(2**k)`` shrink to the cycle nodes, and the real
+    loop returns the first one that stops shrinking.  This one returns the
+    image from the round before, one squaring short, so a transient node
+    with a long enough chain of predecessors counts as a cycle node: any
+    instance with a transient configuration shows it.  The phase digests
+    run the mutant on both sides of their diff; only
+    ``differential.functional_graph``, against the reference peel, sees it.
+    """
+
+    def _cycle_mask(succ, budget=None):
+        before = np.ones(succ.size, dtype=bool)  # the image of succ**0
+        image = np.zeros(succ.size, dtype=bool)
+        image[succ] = True
+        power = succ
+        while True:
+            power = power[power]
+            squared = np.zeros(succ.size, dtype=bool)
+            squared[power] = True
+            if np.count_nonzero(squared) == np.count_nonzero(image):
+                return before  # BUG: one round short of the cycle nodes
+            before, image = image, squared
+
+    return [(cycles, "_cycle_mask", _cycle_mask)]
+
+
 def _mutant_mc_sampler_tail_drop():
     """Uniform MC sampler silently drops the all-ones tail.
 
@@ -190,6 +219,7 @@ MUTANTS = {
     "bitplane-parity-drop": _mutant_bitplane_parity_drop,
     "quotient-reflection-drop": _mutant_quotient_reflection_drop,
     "necklace-period-drop": _mutant_necklace_period_drop,
+    "cycle-mask-round-early": _mutant_cycle_mask_round_early,
     "mc-sampler-tail-drop": _mutant_mc_sampler_tail_drop,
     "mc-sweep-level-merge": _mutant_mc_sweep_level_merge,
     "mc-energy-wrap-drop": _mutant_mc_energy_wrap_drop,

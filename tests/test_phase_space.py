@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.automaton import CellularAutomaton
+from repro.core.budget import PHASE_ANALYSIS_BYTES_PER_STATE, SUCC_BYTES_PER_STATE
 from repro.core.phase_space import ConfigClass, PhaseSpace
 from repro.core.rules import MajorityRule, WolframRule, XorRule
 from repro.spaces.line import Ring
@@ -174,3 +175,38 @@ class TestBasinMembers:
 
         with _pytest.raises(ValueError):
             majority8_ps.basin_members(10_000)
+
+
+class TestAnalysisMemory:
+    """Peak bytes per configuration the analysis holds beside ``succ``."""
+
+    @staticmethod
+    def _peak_per_state(n, analyse):
+        import tracemalloc
+
+        succ = CellularAutomaton(Ring(n), MajorityRule(), memory=True).step_all()
+        tracemalloc.start()
+        try:
+            analyse(PhaseSpace(succ, n))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak / (1 << n)
+
+    @pytest.mark.parametrize("n", [16, 20])
+    def test_proper_cycle_and_classes_fit_the_charge(self, n):
+        """What the governed build charges beyond ``succ`` covers the
+        Lemma 1 check and the classification."""
+
+        def analyse(ps):
+            ps.has_proper_cycle()
+            ps.classes
+
+        peak = self._peak_per_state(n, analyse)
+        assert peak <= PHASE_ANALYSIS_BYTES_PER_STATE - SUCC_BYTES_PER_STATE
+
+    @pytest.mark.parametrize("n", [16, 20])
+    @pytest.mark.parametrize("attr", ["attractor_of", "steps_to_cycle"])
+    def test_descent_holds_under_four_int64_arrays(self, n, attr):
+        peak = self._peak_per_state(n, lambda ps: getattr(ps.graph, attr))
+        assert peak <= 4 * SUCC_BYTES_PER_STATE
