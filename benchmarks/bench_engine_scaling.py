@@ -92,7 +92,7 @@ def test_sweep_backend_n20(benchmark, backend):
 
 @pytest.mark.parametrize("backend", ["bitplane"])
 def test_all_node_successors_n16(benchmark, backend):
-    """The shared one-pass sequential sweep (n rows, one unpack)."""
+    """The sequential matrix: n governed flip rows, then one encode."""
     ca = CellularAutomaton(Ring(16), MajorityRule(), backend=backend)
     table = benchmark(ca.all_node_successors)
     assert table.shape == (16, 1 << 16)

@@ -158,6 +158,20 @@ def _make_rule(args: argparse.Namespace) -> UpdateRule:
     raise ValueError(f"unknown rule {args.rule!r}")
 
 
+def _make_automaton(args: argparse.Namespace, **backend) -> CellularAutomaton:
+    """The automaton ``args`` describe; one the space cannot hold (a ring
+    too small for its radius, a rule of another arity) is a one-line error."""
+    try:
+        return CellularAutomaton(
+            _make_space(args),
+            _make_rule(args),
+            memory=not args.memoryless,
+            **backend,
+        )
+    except ValueError as err:
+        raise SystemExit(str(err)) from err
+
+
 def _make_schedule(args: argparse.Namespace) -> UpdateSchedule:
     if args.schedule == "parallel":
         return Synchronous()
@@ -747,8 +761,7 @@ def _cmd_run(args: argparse.Namespace, out) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace, out) -> int:
-    space = _make_space(args)
-    ca = CellularAutomaton(space, _make_rule(args), memory=not args.memoryless)
+    ca = _make_automaton(args)
     state = _make_initial(args, ca.n)
     schedule = _make_schedule(args)
     traj = sequential_trajectory(ca, state, schedule, args.steps)
@@ -795,14 +808,7 @@ def _cmd_phase_space(args: argparse.Namespace, out) -> int:
     from repro.core.phase_space import build_phase_space
     from repro.util.validation import check_memory_budget
 
-    space = _make_space(args)
-    ca = CellularAutomaton(
-        space,
-        _make_rule(args),
-        memory=not args.memoryless,
-        backend=args.backend,
-        workers=args.workers,
-    )
+    ca = _make_automaton(args, backend=args.backend, workers=args.workers)
     budget = ambient_budget()
     resume_dir = getattr(args, "resume", None)
     if ca.n > MAX_SWEEP_N:

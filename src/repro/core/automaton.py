@@ -21,9 +21,9 @@ import numpy as np
 
 from repro.core.budget import BudgetExceeded, resolve_budget
 from repro.core.rules import UpdateRule
-from repro.perf.base import CHUNK, MAX_SWEEP_N
+from repro.perf.base import MAX_SWEEP_N
 from repro.spaces.base import FiniteSpace
-from repro.util.bitops import bits_to_int, int_to_bits
+from repro.util.bitops import bits_to_int, flip_successors, int_to_bits
 from repro.util.validation import check_node_index, check_state_vector
 
 __all__ = ["CellularAutomaton"]
@@ -229,16 +229,18 @@ class CellularAutomaton:
             )
         return 1 << self.n
 
-    def _sweep(self, what: str, fill, budget=None) -> np.ndarray:
-        """``fill`` over all ``2**n`` configurations, under the cancel token
-        and deadline of ``budget`` (else the ambient one) and nothing else:
-        no caps apply and nothing is charged."""
-        succ = np.empty(self._check_sweep_size(what), dtype=np.int64)
+    def _sweep(self, what: str, fill, budget=None, out=None) -> np.ndarray:
+        """``fill`` over all ``2**n`` configurations into ``out`` (else a
+        fresh int64 array), under the cancel token and deadline of
+        ``budget`` (else the ambient one) and nothing else: no caps apply
+        and nothing is charged."""
+        if out is None:
+            out = np.empty(self._check_sweep_size(what), dtype=np.int64)
         view = resolve_budget(budget).uncapped()
-        _, reason = self.backend.governed_sweep(succ, view, fill=fill)
+        _, reason = self.backend.governed_sweep(out, view, fill=fill)
         if reason is not None:
             raise BudgetExceeded(reason)
-        return succ
+        return out
 
     def step_all(self) -> np.ndarray:
         """Packed synchronous successor of every configuration.
@@ -267,21 +269,25 @@ class CellularAutomaton:
             budget,
         )
 
-    def all_node_successors(self) -> np.ndarray:
-        """Matrix of shape ``(n, 2**n)``: row ``i`` is :meth:`node_successors(i)`.
-
-        One shared sweep fills all ``n`` rows per chunk — the per-chunk
-        setup (configuration unpacking, input planes) is paid once instead
-        of once per node.
-        """
-        total = self._check_sweep_size("all_node_successors")
-        out = np.empty((self.n, total), dtype=np.int64)
+    def node_flips(self, i: int, out: np.ndarray, budget=None) -> np.ndarray:
+        """Fill the bool ``out[c]``: does updating node ``i`` change
+        configuration ``c``?  :meth:`node_successors` in one byte per
+        entry, swept under ``budget`` the same way."""
+        check_node_index(i, self.n)
         backend = self.backend
-        if backend.is_sharded:
-            for i in range(self.n):
-                out[i] = self.node_successors(i)
-            return out
-        for lo in range(0, total, CHUNK):
-            hi = min(lo + CHUNK, total)
-            backend.sweep_all_nodes_range(lo, hi, out[:, lo:hi])
-        return out
+        return self._sweep(
+            "node_flips",
+            lambda lo, hi: backend.node_flips_range(i, lo, hi),
+            budget,
+            out,
+        )
+
+    def all_node_successors(self) -> np.ndarray:
+        """Matrix of shape ``(n, 2**n)``: row ``i`` is :meth:`node_successors(i)`,
+        encoded at once from the ``n`` governed :meth:`node_flips` rows."""
+        flips = np.empty(
+            (self.n, self._check_sweep_size("all_node_successors")), dtype=bool
+        )
+        for i in range(self.n):
+            self.node_flips(i, flips[i])
+        return flip_successors(flips)

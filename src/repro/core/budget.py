@@ -61,6 +61,8 @@ __all__ = [
     "SUCC_BYTES_PER_STATE",
     "PHASE_ANALYSIS_BYTES_PER_STATE",
     "NONDET_BYTES_PER_STATE",
+    "NONDET_EDGE_BYTES",
+    "NONDET_CONFIG_BYTES",
     "estimate_succ_bytes",
     "estimate_phase_space_bytes",
     "estimate_nondet_bytes",
@@ -78,10 +80,17 @@ SUCC_BYTES_PER_STATE = 8
 #: each; the image is kept as the on-cycle mask).
 PHASE_ANALYSIS_BYTES_PER_STATE = 26
 
-#: peak bytes per (configuration, node) pair of a governed sequential
-#: phase-space build: the per-node successor row plus the change-edge
-#: src/dst arrays the SCC analysis materialises.
-NONDET_BYTES_PER_STATE = 24
+#: peak bytes of the sequential phase-space analysis per change edge (an
+#: update that changes its configuration: int64 src/dst plus SciPy's SCC
+#: copies, 33.0 measured under tracemalloc) and per configuration (SCC
+#: arrays, 20.1 measured, plus the int64 pseudo-fixed list ``summary()``
+#: holds through the SCC, up to 8)
+NONDET_EDGE_BYTES = 34
+NONDET_CONFIG_BYTES = 30
+
+#: bytes per (configuration, node) pair of a sequential build when every
+#: update flips: the bool flip entry plus its change edge
+NONDET_BYTES_PER_STATE = 1 + NONDET_EDGE_BYTES
 
 _ENV_WALL = "REPRO_BUDGET_WALL_S"
 _ENV_MEM = "REPRO_BUDGET_MEM"
@@ -151,8 +160,11 @@ def estimate_phase_space_bytes(n_nodes: int) -> int:
 
 
 def estimate_nondet_bytes(n_nodes: int) -> int:
-    """Peak bytes of a full sequential (nondeterministic) phase-space build."""
-    return n_nodes * (1 << n_nodes) * NONDET_BYTES_PER_STATE
+    """Peak bytes of a full sequential (nondeterministic) phase-space build
+    and analysis, in the worst case that every update flips."""
+    return (1 << n_nodes) * (
+        n_nodes * NONDET_BYTES_PER_STATE + NONDET_CONFIG_BYTES
+    )
 
 
 class CancelToken:

@@ -2,8 +2,10 @@
 
 An SCA from a given configuration may update any node next, so its phase
 space is a node-labelled nondeterministic transition graph — Figure 1(b) of
-the paper.  :class:`NondetPhaseSpace` materialises it from the per-node
-successor arrays and answers the paper's questions:
+the paper.  Updating node ``i`` changes at most bit ``i``, so the whole
+graph is an ``(n, 2**n)`` bool *flip matrix*: ``flips[i, x]`` says whether
+updating node ``i`` moves ``x`` to ``x ^ 2**i``.  :class:`NondetPhaseSpace`
+holds that matrix and answers the paper's questions:
 
 * Is the phase space *cycle-free*?  (Lemma 1(ii), Theorem 1.)  A *proper
   cycle* is a closed walk through at least two distinct configurations;
@@ -30,8 +32,8 @@ from scipy.sparse import csgraph
 from repro.analysis.cycles import scc_labels
 from repro.core.automaton import CellularAutomaton
 from repro.core.budget import (
-    NONDET_BYTES_PER_STATE,
-    SUCC_BYTES_PER_STATE,
+    NONDET_CONFIG_BYTES,
+    NONDET_EDGE_BYTES,
     Budget,
     BudgetExceeded,
     Partial,
@@ -40,26 +42,38 @@ from repro.core.budget import (
 )
 from repro.obs import span
 from repro.perf.base import MAX_SWEEP_N
-from repro.util.bitops import config_str
+from repro.util.bitops import config_str, flip_successors
 
 __all__ = ["NondetPhaseSpace", "build_nondet_phase_space"]
 
-#: extra per-(configuration, node) bytes the SCC analysis holds beyond the
-#: successor matrix (worst-case change-edge src + dst arrays, int64 each).
-_EDGE_EXTRA_PER_STATE = NONDET_BYTES_PER_STATE - SUCC_BYTES_PER_STATE
-
 
 class NondetPhaseSpace:
-    """The full sequential (one-node-at-a-time) phase space of an automaton."""
+    """The full sequential (one-node-at-a-time) phase space of an automaton.
 
-    def __init__(self, node_succ: np.ndarray, n_nodes: int):
-        node_succ = np.asarray(node_succ, dtype=np.int64)
-        if node_succ.shape != (n_nodes, 1 << n_nodes):
+    ``flips`` is the bool flip matrix, or an integer successor matrix
+    (rows :meth:`CellularAutomaton.node_successors`) that is converted once
+    row ``i`` is checked to change no bit but bit ``i``.
+    """
+
+    def __init__(self, flips: np.ndarray, n_nodes: int):
+        flips = np.asarray(flips)
+        if flips.shape != (n_nodes, 1 << n_nodes):
             raise ValueError(
-                f"node successor matrix has shape {node_succ.shape}, "
+                f"flip or successor matrix has shape {flips.shape}, "
                 f"expected ({n_nodes}, {1 << n_nodes})"
             )
-        self.node_succ = node_succ
+        if flips.dtype != bool:
+            changed = flips.astype(np.int64)
+            changed ^= np.arange(1 << n_nodes, dtype=np.int64)
+            own_bit = np.int64(1) << np.arange(n_nodes, dtype=np.int64)[:, None]
+            stray = np.flatnonzero((changed & ~own_bit).any(axis=1))
+            if stray.size:
+                raise ValueError(
+                    f"row {stray[0]} of the node successor matrix changes a "
+                    f"bit other than bit {stray[0]}"
+                )
+            flips = changed != 0
+        self.flips = flips
         self.n_nodes = n_nodes
 
     @classmethod
@@ -85,25 +99,28 @@ class NondetPhaseSpace:
 
     # -- basic structure -----------------------------------------------------
 
+    @cached_property
+    def node_succ(self) -> np.ndarray:
+        """The ``(n, 2**n)`` int64 successor matrix, derived from the flips
+        on first use (read-only; eight bytes per entry, so small spaces)."""
+        succ = flip_successors(self.flips)
+        succ.flags.writeable = False
+        return succ
+
     def transitions(self, code: int) -> list[tuple[int, int]]:
         """All ``(node, successor)`` pairs from a configuration
         (self-loops included)."""
-        return [(i, int(self.node_succ[i, code])) for i in range(self.n_nodes)]
+        flips = self.flips[:, code]
+        return [(i, int(code) ^ (int(f) << i)) for i, f in enumerate(flips)]
 
     @cached_property
     def _change_edges(self) -> tuple[np.ndarray, np.ndarray]:
         """Edges that actually change the configuration: (src, dst)."""
-        srcs, dsts = [], []
-        codes = np.arange(self.size, dtype=np.int64)
-        for i in range(self.n_nodes):
-            succ = self.node_succ[i]
-            mask = succ != codes
-            srcs.append(codes[mask])
-            dsts.append(succ[mask])
-        return (
-            np.concatenate(srcs) if srcs else np.empty(0, dtype=np.int64),
-            np.concatenate(dsts) if dsts else np.empty(0, dtype=np.int64),
-        )
+        nodes, srcs = np.nonzero(self.flips)
+        # dst = src ^ 2**node, in place: these arrays dominate the analysis
+        dsts = np.left_shift(1, nodes, out=nodes)
+        dsts ^= srcs
+        return srcs, dsts
 
     @cached_property
     def _union_csr(self) -> sparse.csr_matrix:
@@ -122,11 +139,7 @@ class NondetPhaseSpace:
         For with-memory rules these coincide with the parallel CA's fixed
         points — one of the structural facts the integration tests check.
         """
-        codes = np.arange(self.size, dtype=np.int64)
-        stable = np.ones(self.size, dtype=bool)
-        for i in range(self.n_nodes):
-            stable &= self.node_succ[i] == codes
-        return np.flatnonzero(stable)
+        return np.flatnonzero(~self.flips.any(axis=0))
 
     @cached_property
     def pseudo_fixed_points(self) -> np.ndarray:
@@ -136,14 +149,7 @@ class NondetPhaseSpace:
         under some update orders they look fixed, yet other orders leave
         them.
         """
-        codes = np.arange(self.size, dtype=np.int64)
-        any_loop = np.zeros(self.size, dtype=bool)
-        all_loop = np.ones(self.size, dtype=bool)
-        for i in range(self.n_nodes):
-            loop = self.node_succ[i] == codes
-            any_loop |= loop
-            all_loop &= loop
-        return np.flatnonzero(any_loop & ~all_loop)
+        return np.flatnonzero(self.flips.any(axis=0) & ~self.flips.all(axis=0))
 
     # -- cycles ------------------------------------------------------------------
 
@@ -175,15 +181,12 @@ class NondetPhaseSpace:
         Fig. 1(b) exhibits for the XOR SCA).
         """
         for comp in self.proper_cycle_components():
-            comp_set = set(int(c) for c in comp)
-            for a in comp_set:
+            for a in set(int(c) for c in comp):
                 for i in range(self.n_nodes):
-                    b = int(self.node_succ[i, a])
-                    if b == a or b not in comp_set:
-                        continue
-                    for j in range(self.n_nodes):
-                        if int(self.node_succ[j, b]) == a:
-                            return a, i, b, j
+                    # Only node i's update can undo a flip of bit i.
+                    b = a ^ (1 << i)
+                    if self.flips[i, a] and self.flips[i, b]:
+                        return a, i, b, i
         return None
 
     # -- reachability ---------------------------------------------------------
@@ -243,20 +246,13 @@ class NondetPhaseSpace:
         del order
         if predecessors[target] < 0:
             return None
-        # Walk predecessors back to the source, then label each edge.
+        # Walk predecessors back to the source, then label each edge by
+        # the one bit it flips: the updated node.
         path = [int(target)]
         while path[-1] != source:
             path.append(int(predecessors[path[-1]]))
         path.reverse()
-        word: list[int] = []
-        for a, b in zip(path, path[1:]):
-            for i in range(self.n_nodes):
-                if int(self.node_succ[i, a]) == b:
-                    word.append(i)
-                    break
-            else:  # pragma: no cover - BFS edge must exist
-                raise AssertionError(f"no node labels edge {a} -> {b}")
-        return word
+        return [(a ^ b).bit_length() - 1 for a, b in zip(path, path[1:])]
 
     def unreachable_configs(self) -> np.ndarray:
         """Configurations with no incoming change edge from any other config.
@@ -275,8 +271,7 @@ class NondetPhaseSpace:
         for code in range(self.size):
             g.add_node(code, label=config_str(code, self.n_nodes))
         for code in range(self.size):
-            for i in range(self.n_nodes):
-                dst = int(self.node_succ[i, code])
+            for i, dst in self.transitions(code):
                 if dst != code or include_self_loops:
                     g.add_edge(code, dst, node=i)
         return g
@@ -300,17 +295,20 @@ def build_nondet_phase_space(
 ) -> Partial[NondetPhaseSpace]:
     """Governed sequential phase-space build, resumable at row granularity.
 
-    The ``(n, 2**n)`` node-successor matrix is filled one node row at a
-    time; the budget is consulted before each row (projecting the row's
-    :data:`~repro.core.budget.NONDET_BYTES_PER_STATE` footprint, which
-    also covers the change-edge arrays the SCC analysis later holds), and
-    its cancel token and deadline inside the row's chunked sweep.  Each
-    row is charged once, here, so a states cap stops every backend at the
-    same row.  On a trip the returned
+    The ``(n, 2**n)`` bool flip matrix is filled in place one node row at
+    a time (:meth:`CellularAutomaton.node_flips`); the budget is
+    consulted before each row (projecting its byte per configuration),
+    and its cancel token and deadline inside the row's chunked sweep.
+    Each row is charged once, here, so a states cap stops every backend
+    at the same row.  After the last row the analysis is charged from the
+    change-edge count (:data:`~repro.core.budget.NONDET_EDGE_BYTES` each,
+    plus :data:`~repro.core.budget.NONDET_CONFIG_BYTES` per
+    configuration).  On a trip the returned
     :class:`~repro.core.budget.Partial` carries a ``frontier`` with the
-    completed rows; resumed frontiers are disk-backed memmaps charged only
-    for chunk transients, exactly like
-    :func:`repro.core.phase_space.build_phase_space`.
+    completed rows; resumed frontiers are disk-backed memmaps whose rows
+    are charged nothing, exactly like
+    :func:`repro.core.phase_space.build_phase_space`.  A frontier whose
+    rows are not bool (int64 successors) is refused.
 
     ``explored``/``total`` count (configuration, node) transition units,
     i.e. ``rows_done * 2**n`` of ``n * 2**n``.
@@ -327,12 +325,17 @@ def build_nondet_phase_space(
 
     if frontier is not None:
         check_frontier(frontier, "nondet", n, ca.describe())
-        node_succ = frontier["succ"]
+        flips = frontier["succ"]
+        if flips.dtype != bool:
+            raise ValueError(
+                f"sequential frontier holds {flips.dtype} successor rows, "
+                f"the format before bool flip rows; it cannot be resumed"
+            )
         start_row = int(frontier["next_row"])
     else:
-        node_succ = np.empty((n, size), dtype=np.int64)
+        flips = np.empty((n, size), dtype=bool)
         start_row = 0
-    per_state = 0 if isinstance(node_succ, np.memmap) else NONDET_BYTES_PER_STATE
+    per_state = 0 if isinstance(flips, np.memmap) else flips.itemsize
     transient = ca.sweep_transient_bytes()
 
     def _frontier(next_row: int) -> dict[str, object]:
@@ -342,7 +345,7 @@ def build_nondet_phase_space(
             "automaton": ca.describe(),
             "total": total,
             "next_row": next_row,
-            "succ": node_succ,
+            "succ": flips,
         }
 
     def _truncated(reason: str, rows_done: int) -> Partial[NondetPhaseSpace]:
@@ -365,7 +368,7 @@ def build_nondet_phase_space(
                     return _truncated(reason, i)
                 faults.inject("nondet.row")
                 try:
-                    node_succ[i] = ca.node_successors(i, budget=budget)
+                    ca.node_flips(i, flips[i], budget=budget)
                 except BudgetExceeded as err:
                     # The row's chunked sweep tripped mid-row; resume
                     # granularity is whole rows, so the partial row is
@@ -373,11 +376,12 @@ def build_nondet_phase_space(
                     build_span.set(truncated=err.reason, rows_done=i)
                     return _truncated(err.reason, i)
                 budget.charge(states=size, bytes_=per_state * size)
-        edge_pending = _EDGE_EXTRA_PER_STATE * total if per_state == 0 else 0
-        reason = budget.over(pending_bytes=edge_pending)
+        edges = int(np.count_nonzero(flips))
+        analysis = NONDET_EDGE_BYTES * edges + NONDET_CONFIG_BYTES * size
+        reason = budget.over(pending_bytes=analysis)
         if reason is not None:
             build_span.set(truncated=reason, rows_done=n)
             return _truncated(reason, n)
-        budget.charge(bytes_=edge_pending)
-        nps = NondetPhaseSpace(node_succ, n)
+        budget.charge(bytes_=analysis)
+        nps = NondetPhaseSpace(flips, n)
         return Partial.done(nps, explored=total, total=total)

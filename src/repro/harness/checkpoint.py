@@ -203,7 +203,7 @@ def save_frontier(directory: str | os.PathLike[str], partial) -> Path:
             prefix_crc = durable.crc32_of_array_prefix(succ, rows)
         else:
             mm = np.lib.format.open_memmap(
-                array_path, mode="w+", dtype=np.int64, shape=succ.shape
+                array_path, mode="w+", dtype=succ.dtype, shape=succ.shape
             )
             mm[:rows] = succ[:rows]
             mm.flush()

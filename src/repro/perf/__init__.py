@@ -89,14 +89,9 @@ def _check_name(name: str) -> str:
     return name
 
 
-def resolve_serial_backend(ca, name: str = "auto") -> SweepBackend:
-    """Construct the serial backend ``name`` for ``ca`` (``auto`` picks
-    bitplane when it applies, else numpy)."""
-    name = _check_name(name)
-    if name == "process":
-        raise ValueError("process is not a serial backend")
-    if name != "auto":
-        return BACKENDS[name](ca)
+def resolve_serial_backend(ca) -> SweepBackend:
+    """The serial backend ``auto`` picks for ``ca``: bitplane when it
+    applies, else numpy."""
     if BitplaneBackend.supports(ca) is None:
         return BitplaneBackend(ca)
     return NumpyBackend(ca)
@@ -126,4 +121,4 @@ def resolve_backend(
         and ProcessBackend.supports(ca) is None
     ):
         return ProcessBackend(ca, workers=workers)
-    return resolve_serial_backend(ca, "auto")
+    return resolve_serial_backend(ca)

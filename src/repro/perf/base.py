@@ -1,8 +1,8 @@
 """Sweep-backend protocol and the generic ``numpy`` reference backend.
 
 A *sweep backend* computes whole-phase-space maps — the packed parallel
-successor of every configuration in a range, or the packed single-node
-(sequential) successors — for one bound automaton.  Every successor
+successor of every configuration in a range, or where a single-node
+(sequential) update changes it — for one bound automaton.  Every successor
 sweep of the engine (:class:`repro.core.automaton.CellularAutomaton`)
 and of the governed builders in :mod:`repro.core.phase_space` and
 :mod:`repro.core.nondet` runs through one loop,
@@ -58,7 +58,7 @@ class BackendUnsupported(ValueError):
 class SweepBackend:
     """One compiled sweep strategy bound to one automaton.
 
-    Subclasses implement the three range kernels; ``supports`` is a
+    Subclasses implement the two range kernels; ``supports`` is a
     classmethod returning ``None`` when the backend can handle the
     automaton and a human-readable reason when it cannot (the ``auto``
     policy falls through to the next backend on a reason).
@@ -95,19 +95,16 @@ class SweepBackend:
         """Packed synchronous successors of configurations ``lo .. hi-1``."""
         raise NotImplementedError
 
-    def node_successors_range(self, i: int, lo: int, hi: int) -> np.ndarray:
-        """Packed successors under updating only node ``i``, for the range."""
+    def node_flips_range(self, i: int, lo: int, hi: int) -> np.ndarray:
+        """``bool[hi - lo]``: True where updating only node ``i`` changes
+        the configuration.  A single-node update changes at most bit ``i``,
+        so this is the whole sequential map of node ``i`` on the range."""
         raise NotImplementedError
 
-    def sweep_all_nodes_range(self, lo: int, hi: int, out: np.ndarray) -> None:
-        """Fill ``out[(n, hi-lo)]`` with every node's successor row at once.
-
-        Backends override this to share the per-chunk setup (config
-        unpacking, input planes) across all ``n`` rows — one pass over the
-        range instead of ``n``.
-        """
-        for i in range(self.ca.n):
-            out[i] = self.node_successors_range(i, lo, hi)
+    def node_successors_range(self, i: int, lo: int, hi: int) -> np.ndarray:
+        """Packed successors under updating only node ``i``, for the range."""
+        codes = np.arange(lo, hi, dtype=np.int64)
+        return codes ^ (self.node_flips_range(i, lo, hi).astype(np.int64) << i)
 
     def transient_bytes(self) -> int:
         """Peak per-chunk scratch bytes (for deterministic budget charging)."""
@@ -179,32 +176,17 @@ class NumpyBackend(SweepBackend):
             out |= bits @ (np.int64(1) << nodes.astype(np.int64))
         return out
 
-    def _node_bits(self, ext: np.ndarray, i: int) -> np.ndarray:
-        """New-state bit of node ``i`` for every config in the chunk."""
+    def node_flips_range(self, i: int, lo: int, hi: int) -> np.ndarray:
         ca = self.ca
+        ext = self._ext(lo, hi)
         # Slice off rectangular padding: beyond the node's true window
         # length every entry is the quiescent slot, which fixed-arity
         # rules must not see as an extra input.
         window = ca._windows[i][: ca._lengths[i]]
-        inputs = ext[:, window]
-        return ca.rule_at(i).apply_windows(
-            inputs, ca._lengths[i : i + 1]
-        ).astype(np.int64)
-
-    def node_successors_range(self, i: int, lo: int, hi: int) -> np.ndarray:
-        codes = np.arange(lo, hi, dtype=np.int64)
-        new_bits = self._node_bits(self._ext(lo, hi), i)
-        old_bits = (codes >> i) & 1
-        return codes ^ ((old_bits ^ new_bits) << i)
-
-    def sweep_all_nodes_range(self, lo: int, hi: int, out: np.ndarray) -> None:
-        # The whole point: unpack the chunk once, then fill all n rows.
-        codes = np.arange(lo, hi, dtype=np.int64)
-        ext = self._ext(lo, hi)
-        for i in range(self.ca.n):
-            new_bits = self._node_bits(ext, i)
-            old_bits = (codes >> i) & 1
-            out[i] = codes ^ ((old_bits ^ new_bits) << i)
+        new_bits = ca.rule_at(i).apply_windows(
+            ext[:, window], ca._lengths[i : i + 1]
+        )
+        return new_bits != ext[:, i]
 
     def transient_bytes(self) -> int:
         n = self.ca.n

@@ -266,11 +266,8 @@ class ProcessBackend(SweepBackend):
     def step_all_range(self, lo: int, hi: int) -> np.ndarray:
         return self._inner.step_all_range(lo, hi)
 
-    def node_successors_range(self, i: int, lo: int, hi: int) -> np.ndarray:
-        return self._inner.node_successors_range(i, lo, hi)
-
-    def sweep_all_nodes_range(self, lo: int, hi: int, out: np.ndarray) -> None:
-        self._inner.sweep_all_nodes_range(lo, hi, out)
+    def node_flips_range(self, i: int, lo: int, hi: int) -> np.ndarray:
+        return self._inner.node_flips_range(i, lo, hi)
 
     def transient_bytes(self) -> int:
         # every worker holds one chunk of inner scratch plus its shard's

@@ -156,12 +156,13 @@ def check_node_successors(inst: Instance):
             return {
                 "backend": name,
                 "vs": "step_naive",
-                "path": "sweep_all_nodes",
+                "path": "all_node_successors",
                 "node": i,
                 **_diff_codes(inst.oracle_node_succ[i], got[i]),
             }
-        # The single-row chunk kernel is a distinct code path from the
-        # shared one-pass sweep: diff one representative row through it.
+        # Both paths run the one flip kernel, but encode its rows
+        # differently: the matrix above all at once, a row below range
+        # by range (``node_successors_range``).  Diff one row through it.
         row = ca.node_successors(mid)
         if not np.array_equal(row, inst.oracle_node_succ[mid]):
             return {

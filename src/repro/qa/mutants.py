@@ -26,30 +26,20 @@ __all__ = ["MUTANTS", "active_mutant"]
 
 
 def _mutant_bitplane_stale_bit():
-    """Node successor XORs the new bit instead of replacing the old one.
+    """Node update XORs the new bit instead of replacing the old one.
 
-    Patches both node-successor kernels (the single-row chunk path and
-    the shared one-pass sweep), as a copy-paste bug plausibly would.
+    Patches the one sequential kernel, which every node-successor path
+    (row, matrix and governed build) encodes from.
     """
 
-    def node_successors_range(self, i, lo, hi):
+    def node_flips_range(self, i, lo, hi):
         lo0, hi0 = self._aligned(lo, hi)
         new_plane = self._out_plane(i, lo0, (hi0 - lo0) >> 6, {})
-        codes = np.arange(lo0, hi0, dtype=np.int64)
         # BUG: flips bit i whenever the new bit is 1, rather than
         # whenever it differs from the old bit.
-        succ = codes ^ (self._unpack(new_plane).astype(np.int64) << i)
-        return succ[lo - lo0 : hi - lo0]
+        return self._unpack(new_plane)[lo - lo0 : hi - lo0].view(bool)
 
-    def sweep_all_nodes_range(self, lo, hi, out):
-        for i in range(self.ca.n):
-            out[i] = node_successors_range(self, i, lo, hi)
-
-    cls = bitplane.BitplaneBackend
-    return [
-        (cls, "node_successors_range", node_successors_range),
-        (cls, "sweep_all_nodes_range", sweep_all_nodes_range),
-    ]
+    return [(bitplane.BitplaneBackend, "node_flips_range", node_flips_range)]
 
 
 def _mutant_bitplane_parity_drop():

@@ -28,6 +28,7 @@ __all__ = [
     "bits_to_int",
     "int_to_bits",
     "all_configurations",
+    "flip_successors",
     "popcount",
     "popcount_array",
     "rotate_bits",
@@ -90,6 +91,16 @@ def all_configurations(n: int) -> np.ndarray:
         )
     codes = np.arange(1 << n, dtype=np.uint32 if n <= 31 else np.uint64)
     return ((codes[:, None] >> np.arange(n, dtype=codes.dtype)) & 1).astype(np.uint8)
+
+
+def flip_successors(flips: np.ndarray) -> np.ndarray:
+    """The ``(n, 2**n)`` int64 successors ``c ^ (flips[i, c] << i)`` of a
+    sequential flip matrix (``flips[i, c]``: updating node ``i`` changes
+    configuration ``c``)."""
+    succ = flips.astype(np.int64)
+    succ <<= np.arange(succ.shape[0], dtype=np.int64)[:, None]
+    succ ^= np.arange(succ.shape[1], dtype=np.int64)
+    return succ
 
 
 def popcount(value: int) -> int:

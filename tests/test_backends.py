@@ -41,7 +41,6 @@ from repro.perf import (
     ProcessBackend,
     lower_bit_kernel,
     resolve_backend,
-    resolve_serial_backend,
 )
 from repro.spaces.graph import GraphSpace
 from repro.spaces.line import Line, Ring
@@ -318,11 +317,6 @@ class TestSelectionPolicy:
         reason = BitplaneBackend.supports(ca)
         assert isinstance(reason, str) and "no bitwise lowering" in reason
         assert ca.backend.name == "numpy"  # auto falls back
-
-    def test_resolve_serial_rejects_process(self):
-        ca = make_ca(Ring(9), MajorityRule())
-        with pytest.raises(ValueError, match="not a serial backend"):
-            resolve_serial_backend(ca, "process")
 
     def test_registry_covers_all_names(self):
         assert set(BACKENDS) == {"numpy", "bitplane", "process"}

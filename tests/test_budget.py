@@ -77,7 +77,9 @@ class TestParseSize:
     def test_estimates_scale(self):
         assert estimate_succ_bytes(24) == (1 << 24) * 8
         assert estimate_phase_space_bytes(10) > estimate_succ_bytes(10)
-        assert estimate_nondet_bytes(10) == 10 * (1 << 10) * 24
+        # worst case: a flip byte and a change edge per (config, node),
+        # plus the per-configuration analysis arrays
+        assert estimate_nondet_bytes(10) == (1 << 10) * (10 * 35 + 30)
 
 
 class TestCancelToken:
@@ -280,9 +282,31 @@ class TestGovernedNondet:
         save_frontier(tmp_path, p1)
         frontier = load_frontier(tmp_path)
         assert frontier["next_row"] == rows_done
+        # the flip rows round-trip as bool, bit for bit
+        assert frontier["succ"].dtype == bool
+        np.testing.assert_array_equal(
+            frontier["succ"][:rows_done], p1.frontier["succ"][:rows_done]
+        )
         p2 = build_nondet_phase_space(ca, budget=Budget(), frontier=frontier)
         assert p2.complete
         assert p2.value.summary() == exact.summary()
+
+    def test_int64_frontier_refused(self, tmp_path):
+        # A frontier of int64 successor rows (the format before flip
+        # rows) must be refused, never read as flips.
+        ca = CellularAutomaton(Ring(10), MajorityRule())
+        p1 = build_nondet_phase_space(
+            ca, budget=Budget(max_states=3 * (1 << 10))
+        )
+        old = dict(p1.frontier, succ=ca.all_node_successors())
+        save_frontier(tmp_path, dataclasses.replace(p1, frontier=old))
+        with pytest.raises(ValueError, match="int64 successor rows"):
+            build_nondet_phase_space(ca, frontier=load_frontier(tmp_path))
+        with pytest.raises(SystemExit, match="int64 successor rows"):
+            run_cli(
+                "phase-space", "--n", "10", "--mode", "sequential",
+                "--resume", str(tmp_path),
+            )
 
 
 @pytest.mark.parametrize("build", [build_phase_space, build_nondet_phase_space])

@@ -184,6 +184,13 @@ class TestInputValidation:
          "--tolerance must be > 1.0, got 0.5"),
         (["phase-space", "--budget-wall", "nan"],
          "--budget-wall must be positive, got nan"),
+        # automata the space cannot hold
+        (["phase-space", "--n", "2"], "ring of 2 nodes cannot support radius 1"),
+        (["phase-space", "--n", "4", "--radius", "2"],
+         "ring of 4 nodes cannot support radius 2"),
+        (["phase-space", "--n", "5", "--rule", "wolfram", "--wolfram", "110",
+          "--memoryless"], "has arity 3 but space Ring(n=5, radius=1)"),
+        (["simulate", "--n", "2"], "ring of 2 nodes cannot support radius 1"),
     ])
     def test_bad_values_rejected(self, argv, fragment):
         with pytest.raises(SystemExit) as excinfo:

@@ -3,11 +3,14 @@
 import numpy as np
 import pytest
 
+from repro.analysis.cycles import scc_labels
 from repro.core.automaton import CellularAutomaton
-from repro.core.nondet import NondetPhaseSpace
+from repro.core.budget import Budget
+from repro.core.heterogeneous import HeterogeneousCA
+from repro.core.nondet import NondetPhaseSpace, build_nondet_phase_space
 from repro.core.phase_space import PhaseSpace
-from repro.core.rules import MajorityRule, XorRule
-from repro.spaces.line import Ring
+from repro.core.rules import MajorityRule, SimpleThresholdRule, WolframRule, XorRule
+from repro.spaces.line import Line, Ring
 
 
 @pytest.fixture(scope="module")
@@ -30,6 +33,12 @@ class TestConstruction:
     def test_rejects_bad_shape(self):
         with pytest.raises(ValueError):
             NondetPhaseSpace(np.zeros((3, 4), dtype=np.int64), 2)
+
+    def test_rejects_successors_changing_another_bit(self):
+        succ = CellularAutomaton(Ring(4), MajorityRule()).all_node_successors()
+        succ[1, 5] ^= 0b1000  # node 1's update touching bit 3
+        with pytest.raises(ValueError, match="row 1 .* other than bit 1"):
+            NondetPhaseSpace(succ, 4)
 
     def test_transitions_listing(self, xor2_nps):
         # From 11, node 0 -> 10 (code 2), node 1 -> 01 (code 1).
@@ -136,3 +145,150 @@ class TestMemorylessVariant:
         ca = CellularAutomaton(Ring(7), MajorityRule(), memory=False)
         nps = NondetPhaseSpace.from_automaton(ca)
         assert not nps.has_proper_cycle()
+
+
+class TestAnalysisMemory:
+    @pytest.mark.parametrize("n", [14, 16])
+    @pytest.mark.parametrize(
+        # a quarter, half and (Wolfram 51: NOT of the own state) all of
+        # the updates change their configuration
+        "rule", [MajorityRule(), XorRule(), WolframRule(51)], ids=str
+    )
+    def test_build_and_summary_fit_the_charge(self, rule, n):
+        """The governed build charges its rows and, from the change-edge
+        count, the analysis: together they cover the traced peak."""
+        import tracemalloc
+
+        ca = CellularAutomaton(Ring(n), rule)
+        ca.backend  # kernel lowering is not part of the build
+        budget = Budget()
+        tracemalloc.start()
+        try:
+            build_nondet_phase_space(ca, budget=budget).value.summary()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= budget.bytes_held
+
+
+def _scalar_node_successors(ca) -> np.ndarray:
+    """Node successors from the scalar ``step_naive``: updating node ``i``
+    alone takes bit ``i`` of the parallel image."""
+    size = 1 << ca.n
+    codes = np.arange(size, dtype=np.int64)
+    image = np.array(
+        [ca.pack(ca.step_naive(ca.unpack(c))) for c in range(size)],
+        dtype=np.int64,
+    )
+    return np.stack([codes ^ ((codes ^ image) & (1 << i)) for i in range(ca.n)])
+
+
+def _reference_two_cycle(node_succ: np.ndarray, comps: list) -> tuple | None:
+    n = node_succ.shape[0]
+    for comp in comps:
+        comp_set = set(int(c) for c in comp)
+        for a in comp_set:
+            for i in range(n):
+                b = int(node_succ[i, a])
+                if b == a or b not in comp_set:
+                    continue
+                for j in range(n):
+                    if int(node_succ[j, b]) == a:
+                        return a, i, b, j
+    return None
+
+
+def _reference_analysis(node_succ: np.ndarray) -> dict:
+    """What ``NondetPhaseSpace`` answered from an int64 successor matrix,
+    by the formulas it used before it stored flip rows."""
+    n, size = node_succ.shape
+    codes = np.arange(size, dtype=np.int64)
+    stable = np.ones(size, dtype=bool)
+    any_loop = np.zeros(size, dtype=bool)
+    srcs, dsts = [], []
+    for i in range(n):
+        loop = node_succ[i] == codes
+        stable &= loop
+        any_loop |= loop
+        srcs.append(codes[~loop])
+        dsts.append(node_succ[i][~loop])
+    srcs, dsts = np.concatenate(srcs), np.concatenate(dsts)
+    n_comp, labels = scc_labels(srcs, dsts, size)
+    sizes = np.bincount(labels, minlength=n_comp)
+    comps = [np.flatnonzero(labels == k) for k in np.flatnonzero(sizes >= 2)]
+    fixed = np.flatnonzero(stable)
+    pseudo = np.flatnonzero(any_loop & ~stable)
+    unreachable = np.flatnonzero(np.bincount(dsts, minlength=size) == 0)
+    return {
+        "fixed_points": fixed,
+        "pseudo_fixed_points": pseudo,
+        "unreachable": unreachable,
+        "components": [c.tolist() for c in comps],
+        "two_cycle": _reference_two_cycle(node_succ, comps),
+        "transitions": [
+            [(i, int(node_succ[i, c])) for i in range(n)] for c in range(size)
+        ],
+        "summary": {
+            "configurations": size,
+            "fixed_points": int(fixed.size),
+            "pseudo_fixed_points": int(pseudo.size),
+            "has_proper_cycle": bool(np.any(sizes >= 2)),
+            "proper_cycle_components": len(comps),
+            "unreachable_configs": int(unreachable.size),
+        },
+    }
+
+
+class TestFlipFormat:
+    """The flip-matrix analysis gives the int64-successor formulas'
+    answers, on every sweep backend."""
+
+    @staticmethod
+    def _check(make_ca):
+        """``make_ca(backend)`` builds the automaton on one backend."""
+        node_succ = _scalar_node_successors(make_ca("numpy"))
+        ref = _reference_analysis(node_succ)
+        for backend in ("numpy", "bitplane"):
+            ca = make_ca(backend)
+            what = f"{ca.describe()} on {backend}"
+            nps = build_nondet_phase_space(ca, budget=Budget()).value
+            np.testing.assert_array_equal(nps.node_succ, node_succ, what)
+            for attr in ("fixed_points", "pseudo_fixed_points"):
+                np.testing.assert_array_equal(
+                    getattr(nps, attr), ref[attr], what
+                )
+            np.testing.assert_array_equal(
+                nps.unreachable_configs(), ref["unreachable"], what
+            )
+            comps = [c.tolist() for c in nps.proper_cycle_components()]
+            assert comps == ref["components"], what
+            assert nps.find_two_cycle() == ref["two_cycle"], what
+            transitions = [nps.transitions(c) for c in range(nps.size)]
+            assert transitions == ref["transitions"], what
+            assert nps.summary() == ref["summary"], what
+        # the integer matrix converts to the same flips
+        converted = NondetPhaseSpace(node_succ, ca.n)
+        np.testing.assert_array_equal(converted.flips, nps.flips)
+
+    def test_every_wolfram_rule_on_ring6(self):
+        for number in range(256):
+            self._check(
+                lambda b: CellularAutomaton(Ring(6), WolframRule(number), backend=b)
+            )
+
+    @pytest.mark.parametrize("space", [Ring, Line], ids=["ring", "line"])
+    @pytest.mark.parametrize(
+        "rule",
+        [MajorityRule(), XorRule(), SimpleThresholdRule(1), SimpleThresholdRule(2)],
+        ids=str,
+    )
+    def test_threshold_and_xor_rules(self, rule, space):
+        for n in range(3 if space is Ring else 2, 11):
+            self._check(lambda b: CellularAutomaton(space(n), rule, backend=b))
+
+    def test_heterogeneous_ring(self):
+        rules = [
+            MajorityRule(), XorRule(), SimpleThresholdRule(1), WolframRule(110),
+            SimpleThresholdRule(2), XorRule(), MajorityRule(), WolframRule(30),
+        ]
+        self._check(lambda b: HeterogeneousCA(Ring(8), rules, backend=b))
