@@ -177,14 +177,8 @@ class NondetStats:
 def nondet_stats(nps: NondetPhaseSpace) -> NondetStats:
     """Compute :class:`NondetStats` for a sequential phase space."""
     comps = nps.proper_cycle_components()
-    srcs, _ = nps._change_edges
     return NondetStats(
-        configurations=nps.size,
-        fixed_points=int(nps.fixed_points.size),
-        pseudo_fixed_points=int(nps.pseudo_fixed_points.size),
-        has_proper_cycle=nps.has_proper_cycle(),
-        proper_cycle_components=len(comps),
+        **nps.summary(),
         largest_cycle_component=max((len(c) for c in comps), default=0),
-        unreachable_configs=int(nps.unreachable_configs().size),
-        change_edges=int(srcs.size),
+        change_edges=nps.change_edge_count(),
     )

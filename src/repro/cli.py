@@ -85,6 +85,7 @@ from repro.core.budget import (
     Budget,
     BudgetExceeded,
     CancelToken,
+    format_bytes,
     parse_size,
     use_budget,
 )
@@ -786,14 +787,26 @@ def _load_resume(resume_dir: str | None, out) -> dict | None:
 def _truncated(partial, resume_dir: str | None, out) -> int:
     """Report a budget-truncated partial, checkpoint its frontier; exit 3."""
     print(f"  {partial.describe()}", file=out)
-    for key, value in (partial.stats or {}).items():
+    stats = partial.stats or {}
+    for key, value in stats.items():
         print(f"  {key}: {value}", file=out)
     if partial.frontier is not None and resume_dir:
         save_frontier(resume_dir, partial)
-        print(
-            f"  frontier saved — rerun with --resume {resume_dir} to continue",
-            file=out,
-        )
+        need = stats.get("analysis_bytes")
+        if need is None:
+            print(
+                f"  frontier saved — rerun with --resume {resume_dir} to continue",
+                file=out,
+            )
+        else:
+            # Every row is built, and a resume charges its disk-backed rows
+            # nothing: only a ceiling that holds the analysis can finish.
+            print(
+                f"  frontier saved — every row is built; the analysis needs "
+                f"{format_bytes(need)}, so rerun with --resume {resume_dir} "
+                f"--budget-mem {-(-need // (1 << 20))}M or more to finish",
+                file=out,
+            )
     elif partial.frontier is not None:
         print(
             "  (pass --resume DIR to checkpoint the frontier for later)",

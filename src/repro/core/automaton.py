@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.core.budget import BudgetExceeded, resolve_budget
 from repro.core.rules import UpdateRule
-from repro.perf.base import MAX_SWEEP_N
+from repro.perf.base import MAX_SWEEP_N, flip_row_words
 from repro.spaces.base import FiniteSpace
 from repro.util.bitops import bits_to_int, flip_successors, int_to_bits
 from repro.util.validation import check_node_index, check_state_vector
@@ -270,8 +270,9 @@ class CellularAutomaton:
         )
 
     def node_flips(self, i: int, out: np.ndarray, budget=None) -> np.ndarray:
-        """Fill the bool ``out[c]``: does updating node ``i`` change
-        configuration ``c``?  :meth:`node_successors` in one byte per
+        """Fill the ``uint64`` flip words ``out`` (:func:`flip_row_words`
+        of them): bit ``c`` is set iff updating node ``i`` changes
+        configuration ``c``.  :meth:`node_successors` in one bit per
         entry, swept under ``budget`` the same way."""
         check_node_index(i, self.n)
         backend = self.backend
@@ -285,9 +286,8 @@ class CellularAutomaton:
     def all_node_successors(self) -> np.ndarray:
         """Matrix of shape ``(n, 2**n)``: row ``i`` is :meth:`node_successors(i)`,
         encoded at once from the ``n`` governed :meth:`node_flips` rows."""
-        flips = np.empty(
-            (self.n, self._check_sweep_size("all_node_successors")), dtype=bool
-        )
+        self._check_sweep_size("all_node_successors")
+        words = np.empty((self.n, flip_row_words(self.n)), dtype=np.uint64)
         for i in range(self.n):
-            self.node_flips(i, flips[i])
-        return flip_successors(flips)
+            self.node_flips(i, words[i])
+        return flip_successors(words)

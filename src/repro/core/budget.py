@@ -63,6 +63,7 @@ __all__ = [
     "NONDET_BYTES_PER_STATE",
     "NONDET_EDGE_BYTES",
     "NONDET_CONFIG_BYTES",
+    "NONDET_PEEL_ROWS",
     "estimate_succ_bytes",
     "estimate_phase_space_bytes",
     "estimate_nondet_bytes",
@@ -80,17 +81,24 @@ SUCC_BYTES_PER_STATE = 8
 #: each; the image is kept as the on-cycle mask).
 PHASE_ANALYSIS_BYTES_PER_STATE = 26
 
-#: peak bytes of the sequential phase-space analysis per change edge (an
-#: update that changes its configuration: int64 src/dst plus SciPy's SCC
-#: copies, 33.0 measured under tracemalloc) and per configuration (SCC
-#: arrays, 20.1 measured, plus the int64 pseudo-fixed list ``summary()``
-#: holds through the SCC, up to 8)
+#: word rows of ``2**n`` bits (``2**n / 8`` bytes each) the sequential
+#: analysis holds besides its flip words: the sink peel's live set, the
+#: set it keeps, and one flipped copy with its temporary (4.0 rows
+#: measured under tracemalloc at n = 20, 4.3 at n = 14); ``summary()``'s
+#: popcounts and the row-by-row change-edge count hold no more
+NONDET_PEEL_ROWS = 5
+
+#: peak bytes of the SCC analysis of a *cyclic* sequential phase space per
+#: change edge (an update that changes its configuration: int64 src/dst
+#: plus SciPy's SCC copies, 33.0 measured under tracemalloc) and per
+#: configuration (SCC arrays, 20.1 at n = 20 to 22.2 at n = 14); an
+#: acyclic space is decided by the peel alone
 NONDET_EDGE_BYTES = 34
-NONDET_CONFIG_BYTES = 30
+NONDET_CONFIG_BYTES = 22
 
 #: bytes per (configuration, node) pair of a sequential build when every
-#: update flips: the bool flip entry plus its change edge
-NONDET_BYTES_PER_STATE = 1 + NONDET_EDGE_BYTES
+#: update flips: the flip bit plus its change edge
+NONDET_BYTES_PER_STATE = 1 / 8 + NONDET_EDGE_BYTES
 
 _ENV_WALL = "REPRO_BUDGET_WALL_S"
 _ENV_MEM = "REPRO_BUDGET_MEM"
@@ -161,9 +169,15 @@ def estimate_phase_space_bytes(n_nodes: int) -> int:
 
 def estimate_nondet_bytes(n_nodes: int) -> int:
     """Peak bytes of a full sequential (nondeterministic) phase-space build
-    and analysis, in the worst case that every update flips."""
-    return (1 << n_nodes) * (
-        n_nodes * NONDET_BYTES_PER_STATE + NONDET_CONFIG_BYTES
+    and analysis, in the worst case that every update flips (a cyclic
+    space, so the SCC runs)."""
+    return int(
+        (1 << n_nodes)
+        * (
+            n_nodes * NONDET_BYTES_PER_STATE
+            + NONDET_CONFIG_BYTES
+            + NONDET_PEEL_ROWS / 8
+        )
     )
 
 

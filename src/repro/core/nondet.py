@@ -3,15 +3,19 @@
 An SCA from a given configuration may update any node next, so its phase
 space is a node-labelled nondeterministic transition graph — Figure 1(b) of
 the paper.  Updating node ``i`` changes at most bit ``i``, so the whole
-graph is an ``(n, 2**n)`` bool *flip matrix*: ``flips[i, x]`` says whether
-updating node ``i`` moves ``x`` to ``x ^ 2**i``.  :class:`NondetPhaseSpace`
-holds that matrix and answers the paper's questions:
+graph is ``n`` sets of configurations, held as packed *flip words*: an
+``(n, max(1, 2**n / 64))`` ``uint64`` array whose row ``i`` has bit ``x``
+set iff updating node ``i`` moves ``x`` to ``x ^ 2**i`` (the padding bits
+of a space smaller than one word are zero).  :class:`NondetPhaseSpace`
+holds those words and answers the paper's questions:
 
 * Is the phase space *cycle-free*?  (Lemma 1(ii), Theorem 1.)  A *proper
   cycle* is a closed walk through at least two distinct configurations;
   updates that do not change the configuration are self-loops and never
-  count.  Proper cycles exist iff the "change-edge" digraph has a strongly
-  connected component of size >= 2.
+  count.  Proper cycles exist iff the "change-edge" digraph has a cycle,
+  which a word-parallel sink peel (:func:`sink_peel`) decides; its
+  strongly connected components of size >= 2 are computed only when the
+  peel finds one.
 * Which configurations are genuine fixed points, and which merely
   *pseudo-fixed points* — non-fixed configurations that some update orders
   keep revisiting because one of their single-node updates is a self-loop?
@@ -34,6 +38,7 @@ from repro.core.automaton import CellularAutomaton
 from repro.core.budget import (
     NONDET_CONFIG_BYTES,
     NONDET_EDGE_BYTES,
+    NONDET_PEEL_ROWS,
     Budget,
     BudgetExceeded,
     Partial,
@@ -41,40 +46,110 @@ from repro.core.budget import (
     resolve_budget,
 )
 from repro.obs import span
-from repro.perf.base import MAX_SWEEP_N
-from repro.util.bitops import config_str, flip_successors
+from repro.perf.base import MAX_SWEEP_N, flip_row_words
+from repro.util.bitops import (
+    config_str,
+    flip_lanes,
+    flip_successors,
+    pack_lanes,
+    popcount_words,
+    unpack_lanes,
+)
 
-__all__ = ["NondetPhaseSpace", "build_nondet_phase_space"]
+__all__ = ["NondetPhaseSpace", "build_nondet_phase_space", "sink_peel"]
+
+
+def sink_peel(words: np.ndarray, budget: Budget | None = None) -> bool:
+    """Whether the change-edge graph of the flip ``words`` has a cycle.
+
+    Starting from every configuration, each round keeps the ones with a
+    change edge into the kept set, ``alive = OR_i (U_i & flip_i(alive))``,
+    until the set stops changing or empties.  A configuration on a cycle
+    is never dropped, and in a non-empty fixpoint every member has a
+    successor inside it, so the fixpoint is non-empty iff there is a
+    cycle.  On an acyclic space the peel takes one round more than the
+    longest change path: O(n) for threshold rules, whose every effective
+    flip lowers the Goles–Martinez energy.  The first round needs no
+    flips (``flip_i`` of every configuration is every configuration), and
+    as the kept set only shrinks, a round that keeps as many
+    configurations as the last has reached the fixpoint.
+
+    ``budget`` (else the ambient one) is polled once per round, raising
+    :class:`~repro.core.budget.BudgetExceeded` on a trip; the
+    ``nondet.peel`` span's ``rounds`` attribute counts the rounds.  Besides
+    ``words`` the peel holds the live set, the kept set and a flipped copy
+    with its temporary: the word rows the build charges as
+    :data:`~repro.core.budget.NONDET_PEEL_ROWS`.
+    """
+    budget = resolve_budget(budget)
+    n = words.shape[0]
+    with span("nondet.peel", n=n) as peel_span:
+        budget.check()
+        rounds = 1
+        alive = np.bitwise_or.reduce(words, axis=0)
+        count = popcount_words(alive)
+        while count:
+            budget.check()
+            rounds += 1
+            kept = flip_lanes(alive, 0)
+            kept &= words[0]
+            for i in range(1, n):
+                moved = flip_lanes(alive, i)
+                moved &= words[i]
+                kept |= moved
+                del moved  # freed before the next flip allocates
+            alive, last = kept, count
+            count = popcount_words(alive)
+            if count == last:
+                break
+        peel_span.set(rounds=rounds, cyclic=count > 0)
+    return count > 0
 
 
 class NondetPhaseSpace:
     """The full sequential (one-node-at-a-time) phase space of an automaton.
 
-    ``flips`` is the bool flip matrix, or an integer successor matrix
-    (rows :meth:`CellularAutomaton.node_successors`) that is converted once
+    ``flips`` is the ``(n, max(1, 2**n / 64))`` ``uint64`` flip words (rows
+    of :meth:`CellularAutomaton.node_flips`), or an ``(n, 2**n)`` bool flip
+    matrix or integer successor matrix (rows of
+    :meth:`CellularAutomaton.node_successors`), packed once each integer
     row ``i`` is checked to change no bit but bit ``i``.
     """
 
     def __init__(self, flips: np.ndarray, n_nodes: int):
         flips = np.asarray(flips)
-        if flips.shape != (n_nodes, 1 << n_nodes):
-            raise ValueError(
-                f"flip or successor matrix has shape {flips.shape}, "
-                f"expected ({n_nodes}, {1 << n_nodes})"
-            )
-        if flips.dtype != bool:
-            changed = flips.astype(np.int64)
-            changed ^= np.arange(1 << n_nodes, dtype=np.int64)
-            own_bit = np.int64(1) << np.arange(n_nodes, dtype=np.int64)[:, None]
-            stray = np.flatnonzero((changed & ~own_bit).any(axis=1))
-            if stray.size:
+        size, nwords = 1 << n_nodes, flip_row_words(n_nodes)
+        if flips.dtype == np.uint64 and flips.shape == (n_nodes, nwords):
+            if size < 64 and (flips >> np.uint64(size)).any():
                 raise ValueError(
-                    f"row {stray[0]} of the node successor matrix changes a "
-                    f"bit other than bit {stray[0]}"
+                    f"flip words set padding bits past configuration {size - 1}"
                 )
-            flips = changed != 0
-        self.flips = flips
+            words = flips
+        elif flips.shape == (n_nodes, size):
+            if flips.dtype != bool:
+                changed = flips.astype(np.int64)
+                changed ^= np.arange(size, dtype=np.int64)
+                own_bit = np.int64(1) << np.arange(n_nodes, dtype=np.int64)[:, None]
+                stray = np.flatnonzero((changed & ~own_bit).any(axis=1))
+                if stray.size:
+                    raise ValueError(
+                        f"row {stray[0]} of the node successor matrix changes a "
+                        f"bit other than bit {stray[0]}"
+                    )
+                flips = changed != 0
+            if size < 64:
+                flips = np.pad(flips, ((0, 0), (0, 64 - size)))
+            words = pack_lanes(flips.ravel()).reshape(n_nodes, nwords)
+        else:
+            raise ValueError(
+                f"flip or successor matrix has shape {flips.shape}, expected "
+                f"({n_nodes}, {nwords}) uint64 flip words or "
+                f"({n_nodes}, {size})"
+            )
+        self.words = words
         self.n_nodes = n_nodes
+        #: the peel's verdict, once decided (:meth:`has_proper_cycle`)
+        self._cyclic: bool | None = None
 
     @classmethod
     def from_automaton(
@@ -99,27 +174,60 @@ class NondetPhaseSpace:
 
     # -- basic structure -----------------------------------------------------
 
+    def _flips_at(self, code: int) -> np.ndarray:
+        """``bool[n]``: does updating node ``i`` change ``code``?"""
+        word = self.words[:, int(code) >> 6]
+        return (word >> np.uint64(int(code) & 63)) & np.uint64(1) != 0
+
+    def _lanes(self, words: np.ndarray) -> np.ndarray:
+        """The configurations whose bit is set in ``words``."""
+        return np.flatnonzero(unpack_lanes(words, self.size))
+
+    def _changed(self) -> np.ndarray:
+        """Words of the configurations some update changes."""
+        return np.bitwise_or.reduce(self.words, axis=0)
+
+    def _reached(self) -> np.ndarray:
+        """Words of the configurations some change edge enters."""
+        reached = np.zeros_like(self.words[0])
+        for i in range(self.n_nodes):
+            reached |= flip_lanes(self.words[i], i)  # x's edge enters x ^ 2**i
+        return reached
+
     @cached_property
     def node_succ(self) -> np.ndarray:
-        """The ``(n, 2**n)`` int64 successor matrix, derived from the flips
-        on first use (read-only; eight bytes per entry, so small spaces)."""
-        succ = flip_successors(self.flips)
+        """The ``(n, 2**n)`` int64 successor matrix, derived from the flip
+        words on first use (read-only; eight bytes per entry, so small
+        spaces)."""
+        succ = flip_successors(self.words)
         succ.flags.writeable = False
         return succ
 
     def transitions(self, code: int) -> list[tuple[int, int]]:
         """All ``(node, successor)`` pairs from a configuration
         (self-loops included)."""
-        flips = self.flips[:, code]
+        flips = self._flips_at(code)
         return [(i, int(code) ^ (int(f) << i)) for i, f in enumerate(flips)]
+
+    def change_edge_count(self) -> int:
+        """Number of change edges (updates that change their
+        configuration), counted row by row: its scratch is one row's."""
+        return sum(popcount_words(row) for row in self.words)
 
     @cached_property
     def _change_edges(self) -> tuple[np.ndarray, np.ndarray]:
-        """Edges that actually change the configuration: (src, dst)."""
-        nodes, srcs = np.nonzero(self.flips)
-        # dst = src ^ 2**node, in place: these arrays dominate the analysis
-        dsts = np.left_shift(1, nodes, out=nodes)
-        dsts ^= srcs
+        """Edges that actually change the configuration: (src, dst), node
+        by node, each node's in ascending ``src`` order (derived from the
+        words on first use)."""
+        counts = [popcount_words(row) for row in self.words]
+        srcs = np.empty(sum(counts), dtype=np.int64)
+        dsts = np.empty_like(srcs)
+        at = 0
+        for i, count in enumerate(counts):
+            part = slice(at, at + count)
+            srcs[part] = self._lanes(self.words[i])
+            np.bitwise_xor(srcs[part], 1 << i, out=dsts[part])
+            at += count
         return srcs, dsts
 
     @cached_property
@@ -139,7 +247,7 @@ class NondetPhaseSpace:
         For with-memory rules these coincide with the parallel CA's fixed
         points — one of the structural facts the integration tests check.
         """
-        return np.flatnonzero(~self.flips.any(axis=0))
+        return self._lanes(~self._changed())
 
     @cached_property
     def pseudo_fixed_points(self) -> np.ndarray:
@@ -149,9 +257,18 @@ class NondetPhaseSpace:
         under some update orders they look fixed, yet other orders leave
         them.
         """
-        return np.flatnonzero(self.flips.any(axis=0) & ~self.flips.all(axis=0))
+        pseudo = np.bitwise_and.reduce(self.words, axis=0)
+        pseudo ^= self._changed()  # changed & ~always, as always ⊆ changed
+        return self._lanes(pseudo)
 
     # -- cycles ------------------------------------------------------------------
+
+    def _peel(self, budget: Budget | None = None) -> bool:
+        """The sink peel's verdict, decided under ``budget`` once and
+        cached."""
+        if self._cyclic is None:
+            self._cyclic = sink_peel(self.words, budget)
+        return self._cyclic
 
     @cached_property
     def _scc(self) -> tuple[int, np.ndarray]:
@@ -160,15 +277,17 @@ class NondetPhaseSpace:
 
     def has_proper_cycle(self) -> bool:
         """True iff some update order revisits a configuration after leaving it."""
-        n_comp, labels = self._scc
-        return bool(np.any(np.bincount(labels, minlength=n_comp) >= 2))
+        return self._peel()
 
     def proper_cycle_components(self) -> list[np.ndarray]:
         """The SCCs of size >= 2 of the change-edge digraph.
 
         Every proper cycle lies inside one of these components, and every
-        component of size >= 2 contains a proper cycle.
+        component of size >= 2 contains a proper cycle.  Computed only on
+        a space the peel found cyclic.
         """
+        if not self.has_proper_cycle():
+            return []
         n_comp, labels = self._scc
         sizes = np.bincount(labels, minlength=n_comp)
         return [np.flatnonzero(labels == k) for k in np.flatnonzero(sizes >= 2)]
@@ -182,10 +301,11 @@ class NondetPhaseSpace:
         """
         for comp in self.proper_cycle_components():
             for a in set(int(c) for c in comp):
+                flips_a = self._flips_at(a)
                 for i in range(self.n_nodes):
                     # Only node i's update can undo a flip of bit i.
                     b = a ^ (1 << i)
-                    if self.flips[i, a] and self.flips[i, b]:
+                    if flips_a[i] and self._flips_at(b)[i]:
                         return a, i, b, i
         return None
 
@@ -259,9 +379,7 @@ class NondetPhaseSpace:
 
         The SCA analogue of Gardens of Eden; in Fig. 1(b), ``00`` is one.
         """
-        srcs, dsts = self._change_edges
-        indeg = np.bincount(dsts, minlength=self.size)
-        return np.flatnonzero(indeg == 0)
+        return self._lanes(~self._reached())
 
     # -- export ------------------------------------------------------------------
 
@@ -277,14 +395,24 @@ class NondetPhaseSpace:
         return g
 
     def summary(self) -> dict[str, object]:
-        """Headline statistics, mirroring :meth:`PhaseSpace.summary`."""
+        """Headline statistics, mirroring :meth:`PhaseSpace.summary`; the
+        counts are popcounts of flip words, so no per-configuration list
+        is built."""
+        changed = self._changed()
+        fixed = self.size - popcount_words(changed)
+        # Every update changing x implies some update does: the
+        # pseudo-fixed words are ``changed & ~always``, i.e. the XOR.
+        always = np.bitwise_and.reduce(self.words, axis=0)
+        always ^= changed
+        pseudo = popcount_words(always)
+        del changed, always
         return {
             "configurations": self.size,
-            "fixed_points": int(self.fixed_points.size),
-            "pseudo_fixed_points": int(self.pseudo_fixed_points.size),
+            "fixed_points": fixed,
+            "pseudo_fixed_points": pseudo,
             "has_proper_cycle": self.has_proper_cycle(),
             "proper_cycle_components": len(self.proper_cycle_components()),
-            "unreachable_configs": int(self.unreachable_configs().size),
+            "unreachable_configs": self.size - popcount_words(self._reached()),
         }
 
 
@@ -295,20 +423,27 @@ def build_nondet_phase_space(
 ) -> Partial[NondetPhaseSpace]:
     """Governed sequential phase-space build, resumable at row granularity.
 
-    The ``(n, 2**n)`` bool flip matrix is filled in place one node row at
-    a time (:meth:`CellularAutomaton.node_flips`); the budget is
-    consulted before each row (projecting its byte per configuration),
-    and its cancel token and deadline inside the row's chunked sweep.
-    Each row is charged once, here, so a states cap stops every backend
-    at the same row.  After the last row the analysis is charged from the
-    change-edge count (:data:`~repro.core.budget.NONDET_EDGE_BYTES` each,
-    plus :data:`~repro.core.budget.NONDET_CONFIG_BYTES` per
-    configuration).  On a trip the returned
+    The ``(n, max(1, 2**n / 64))`` ``uint64`` flip words are filled in
+    place one node row at a time (:meth:`CellularAutomaton.node_flips`);
+    the budget is consulted before each row (projecting its bit per
+    configuration), and its cancel token and deadline inside the row's
+    chunked sweep.  Each row is charged once, here, so a states cap stops
+    every backend at the same row.  After the last row the analysis runs
+    and is charged once: the sink peel (:func:`sink_peel`, its
+    :data:`~repro.core.budget.NONDET_PEEL_ROWS` word rows projected first,
+    or a row's sweep scratch where that is larger, as the build's peak is
+    the larger of the two; the budget polled once per round) decides
+    whether the space has a proper cycle, and only a cyclic space is also
+    charged for its SCC, :data:`~repro.core.budget.NONDET_EDGE_BYTES` per
+    change edge plus :data:`~repro.core.budget.NONDET_CONFIG_BYTES` per
+    configuration.  On a trip the returned
     :class:`~repro.core.budget.Partial` carries a ``frontier`` with the
     completed rows; resumed frontiers are disk-backed memmaps whose rows
     are charged nothing, exactly like
-    :func:`repro.core.phase_space.build_phase_space`.  A frontier whose
-    rows are not bool (int64 successors) is refused.
+    :func:`repro.core.phase_space.build_phase_space`.  When the analysis
+    charge is what trips the memory ceiling, the stats name the bytes it
+    needs (``analysis_bytes``).  A frontier whose rows are not flip words
+    (bool flip rows or int64 successors) is refused.
 
     ``explored``/``total`` count (configuration, node) transition units,
     i.e. ``rows_done * 2**n`` of ``n * 2**n``.
@@ -319,23 +454,25 @@ def build_nondet_phase_space(
         raise ValueError(
             f"sequential phase space over 2**{n} configurations is too large"
         )
-    size = 1 << n
+    size, nwords = 1 << n, flip_row_words(n)
     total = n * size
     from repro.harness import faults
 
     if frontier is not None:
         check_frontier(frontier, "nondet", n, ca.describe())
-        flips = frontier["succ"]
-        if flips.dtype != bool:
+        words = frontier["succ"]
+        if words.dtype != np.uint64 or words.shape != (n, nwords):
             raise ValueError(
-                f"sequential frontier holds {flips.dtype} successor rows, "
-                f"the format before bool flip rows; it cannot be resumed"
+                f"sequential frontier holds {words.dtype} rows of "
+                f"{words.shape[-1]} entries, not {nwords} uint64 flip words "
+                f"per row; it cannot be resumed"
             )
         start_row = int(frontier["next_row"])
     else:
-        flips = np.empty((n, size), dtype=bool)
+        words = np.empty((n, nwords), dtype=np.uint64)
         start_row = 0
-    per_state = 0 if isinstance(flips, np.memmap) else flips.itemsize
+    row_bytes = words[0].nbytes
+    per_row = 0 if isinstance(words, np.memmap) else row_bytes
     transient = ca.sweep_transient_bytes()
 
     def _frontier(next_row: int) -> dict[str, object]:
@@ -345,15 +482,20 @@ def build_nondet_phase_space(
             "automaton": ca.describe(),
             "total": total,
             "next_row": next_row,
-            "succ": flips,
+            "succ": words,
         }
 
-    def _truncated(reason: str, rows_done: int) -> Partial[NondetPhaseSpace]:
+    def _truncated(
+        reason: str, rows_done: int, analysis: int | None = None
+    ) -> Partial[NondetPhaseSpace]:
+        stats = {"rows_done": rows_done, "rows_total": n}
+        if analysis is not None and reason.startswith("memory"):
+            stats["analysis_bytes"] = analysis
         return Partial.truncated(
             reason,
             explored=rows_done * size,
             total=total,
-            stats={"rows_done": rows_done, "rows_total": n},
+            stats=stats,
             frontier=_frontier(rows_done),
         )
 
@@ -362,26 +504,39 @@ def build_nondet_phase_space(
     ) as build_span:
         with span("nondet.node_successors", n=n, resumed_from=start_row):
             for i in range(start_row, n):
-                reason = budget.over(pending_bytes=transient + per_state * size)
+                reason = budget.over(pending_bytes=transient + per_row)
                 if reason is not None:
                     build_span.set(truncated=reason, rows_done=i)
                     return _truncated(reason, i)
                 faults.inject("nondet.row")
                 try:
-                    ca.node_flips(i, flips[i], budget=budget)
+                    ca.node_flips(i, words[i], budget=budget)
                 except BudgetExceeded as err:
                     # The row's chunked sweep tripped mid-row; resume
                     # granularity is whole rows, so the partial row is
                     # discarded and the frontier restarts at row ``i``.
                     build_span.set(truncated=err.reason, rows_done=i)
                     return _truncated(err.reason, i)
-                budget.charge(states=size, bytes_=per_state * size)
-        edges = int(np.count_nonzero(flips))
-        analysis = NONDET_EDGE_BYTES * edges + NONDET_CONFIG_BYTES * size
+                budget.charge(states=size, bytes_=per_row)
+        nps = NondetPhaseSpace(words, n)
+        # The build's peak beside its rows is a row's sweep scratch (each
+        # row's check projected it) or the peel's word rows, whichever is
+        # larger: charged here, with a cyclic space's SCC on top.
+        analysis = max(transient, NONDET_PEEL_ROWS * row_bytes)
         reason = budget.over(pending_bytes=analysis)
+        if reason is None:
+            try:
+                if nps._peel(budget):
+                    analysis += (
+                        NONDET_EDGE_BYTES * nps.change_edge_count()
+                        + NONDET_CONFIG_BYTES * size
+                    )
+                    reason = budget.over(pending_bytes=analysis)
+            except BudgetExceeded as err:
+                build_span.set(truncated=err.reason, rows_done=n)
+                return _truncated(err.reason, n)
         if reason is not None:
             build_span.set(truncated=reason, rows_done=n)
-            return _truncated(reason, n)
+            return _truncated(reason, n, analysis)
         budget.charge(bytes_=analysis)
-        nps = NondetPhaseSpace(flips, n)
         return Partial.done(nps, explored=total, total=total)

@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.util.bitops import pack_lanes, unpack_lanes
+
 __all__ = [
     "CHUNK",
     "MAX_SWEEP_N",
@@ -27,6 +29,8 @@ __all__ = [
     "BackendUnsupported",
     "SweepBackend",
     "NumpyBackend",
+    "flip_row_words",
+    "sweep_entries",
 ]
 
 #: configurations processed per chunk in whole-space sweeps (2**16 keeps the
@@ -44,6 +48,25 @@ MAX_SWEEP_N = 28
 #: held — the census streams orbit representatives through bounded lane
 #: batches — so this ceiling is set by scan time, not memory.
 MAX_ATTRACTOR_N = 34
+
+
+def flip_row_words(n: int) -> int:
+    """``uint64`` words of one node's flip row over ``2**n``
+    configurations: a bit each, and at least one (zero-padded) word."""
+    return max(1, (1 << n) >> 6)
+
+
+def sweep_entries(dtype, lo: int, hi: int) -> slice:
+    """Entries of a sweep output of ``dtype`` that hold configurations
+    ``lo .. hi - 1``.
+
+    A ``uint64`` output holds packed flip words, 64 configurations each
+    (configuration ``c`` is bit ``c % 64`` of word ``c // 64``; ``lo`` is
+    a multiple of 64); any other output one configuration per entry.
+    """
+    if np.dtype(dtype) == np.uint64:
+        return slice(lo >> 6, (hi + 63) >> 6)
+    return slice(lo, hi)
 
 
 class BackendUnsupported(ValueError):
@@ -96,15 +119,21 @@ class SweepBackend:
         raise NotImplementedError
 
     def node_flips_range(self, i: int, lo: int, hi: int) -> np.ndarray:
-        """``bool[hi - lo]``: True where updating only node ``i`` changes
-        the configuration.  A single-node update changes at most bit ``i``,
-        so this is the whole sequential map of node ``i`` on the range."""
+        """Flip words of the range: bit ``c - lo`` of the ``uint64`` words
+        is set where updating only node ``i`` changes configuration ``c``.
+
+        ``lo`` is a multiple of 64, and so is ``hi`` unless it ends a
+        space smaller than one word, whose padding bits are zero.  A
+        single-node update changes at most bit ``i``, so this is the whole
+        sequential map of node ``i`` on the range.
+        """
         raise NotImplementedError
 
     def node_successors_range(self, i: int, lo: int, hi: int) -> np.ndarray:
         """Packed successors under updating only node ``i``, for the range."""
         codes = np.arange(lo, hi, dtype=np.int64)
-        return codes ^ (self.node_flips_range(i, lo, hi).astype(np.int64) << i)
+        flips = unpack_lanes(self.node_flips_range(i, lo, hi), hi - lo)
+        return codes ^ (flips.astype(np.int64) << i)
 
     def transient_bytes(self) -> int:
         """Peak per-chunk scratch bytes (for deterministic budget charging)."""
@@ -121,7 +150,8 @@ class SweepBackend:
         start: int = 0,
         per_state: int = 0,
     ) -> tuple[int, str | None]:
-        """Fill ``out[start:]`` with ``fill(lo, hi)``, one ``CHUNK`` at a time.
+        """Fill ``out`` from configuration ``start`` on with ``fill(lo, hi)``,
+        one ``CHUNK`` at a time, at the entries :func:`sweep_entries` names.
 
         Before each chunk the budget must have room for this backend's
         scratch plus ``per_state`` bytes per configuration; the chunk is
@@ -134,7 +164,7 @@ class SweepBackend:
         # imports the engine that imports this module.
         from repro.harness import faults
 
-        total = int(out.shape[0])
+        total = 1 << self.ca.n
         transient = self.transient_bytes()
         for lo in range(start, total, CHUNK):
             hi = min(lo + CHUNK, total)
@@ -143,7 +173,7 @@ class SweepBackend:
             if reason is not None:
                 return lo, reason
             faults.inject("sweep.chunk")
-            out[lo:hi] = fill(lo, hi)
+            out[sweep_entries(out.dtype, lo, hi)] = fill(lo, hi)
             budget.charge(states=hi - lo, bytes_=per_state * (hi - lo))
         return total, None
 
@@ -186,7 +216,7 @@ class NumpyBackend(SweepBackend):
         new_bits = ca.rule_at(i).apply_windows(
             ext[:, window], ca._lengths[i : i + 1]
         )
-        return new_bits != ext[:, i]
+        return pack_lanes(new_bits != ext[:, i])
 
     def transient_bytes(self) -> int:
         n = self.ca.n

@@ -249,14 +249,17 @@ class BitplaneBackend(SweepBackend):
         return out[lo - lo0 : (hi - lo0)]
 
     def node_flips_range(self, i: int, lo: int, hi: int) -> np.ndarray:
-        lo0, hi0 = self._aligned(lo, hi)
-        nwords = (hi0 - lo0) >> 6
+        _, hi0 = self._aligned(lo, hi)
+        nwords = (hi0 - lo) >> 6
         cache: dict[int, np.ndarray] = {}
-        # Only the flipped bit matters: XOR against the node's own plane.
-        diff = self._out_plane(i, lo0, nwords, cache) ^ self._plane(
-            i, lo0, nwords, cache
+        # Only the flipped bit matters: XOR against the node's own plane,
+        # which is already the packed flip words.
+        diff = self._out_plane(i, lo, nwords, cache) ^ self._plane(
+            i, lo, nwords, cache
         )
-        return self._unpack(diff)[lo - lo0 : (hi - lo0)].view(bool)
+        if hi < hi0:  # a space of less than one word: zero the padding
+            diff &= np.uint64((1 << (hi - lo)) - 1)
+        return diff
 
     # The base encode, bound here too: the repository benchmark's tracer
     # patches ``BitplaneBackend.node_successors_range`` by name.

@@ -77,7 +77,7 @@ import numpy as np
 
 from repro import obs
 from repro.harness import faults
-from repro.perf.base import CHUNK, BackendUnsupported, SweepBackend
+from repro.perf.base import CHUNK, BackendUnsupported, SweepBackend, sweep_entries
 from repro.perf.supervise import (
     ShardFailed,
     ShardLease,
@@ -136,18 +136,19 @@ def _flush_snapshot() -> dict:
     return snapshot
 
 
-def _worker_main(wid, fill, conn, cancel, kernel=None) -> None:
+def _worker_main(wid, fill, conn, cancel, kernel, dtype) -> None:
     """Worker loop: shards in, per-shard completions + metric deltas out.
 
     ``fill(lo, hi)`` is the parent's successor-range callable, inherited by
-    fork (rules never cross a pickle boundary); ``kernel`` is the counts
+    fork (rules never cross a pickle boundary), whose results land in a
+    shard segment of the output's ``dtype``; ``kernel`` is the counts
     kernel (:mod:`repro.perf.counts`) of a counts sweep, inherited the
-    same way.  Tasks arrive and results leave on ``conn``, this worker's
-    own pipe, so no lock is shared with the parent or a sibling; the
-    parent sends the next task only after this one's reply.  Kernel
-    exceptions are caught and shipped as structured ``error`` results — a
-    worker only dies from the outside (SIGKILL, OOM) or from a
-    ``worker-crash`` fault.  Metrics are flushed alongside every shard
+    same way, and None otherwise.  Tasks arrive and results leave on
+    ``conn``, this worker's own pipe, so no lock is shared with the
+    parent or a sibling; the parent sends the next task only after this
+    one's reply.  Kernel exceptions are caught and shipped as structured
+    ``error`` results — a worker only dies from the outside (SIGKILL,
+    OOM) or from a ``worker-crash`` fault.  Metrics are flushed alongside every shard
     completion, so an abnormal death loses at most the in-flight shard's
     increments.
     """
@@ -179,7 +180,8 @@ def _worker_main(wid, fill, conn, cancel, kernel=None) -> None:
                     out[:] = 0
                     chunk = kernel.chunk
                 else:
-                    out = np.ndarray(hi - lo, dtype=np.int64, buffer=shm.buf)
+                    entries = sweep_entries(dtype, 0, hi - lo).stop
+                    out = np.ndarray(entries, dtype=dtype, buffer=shm.buf)
                     chunk = CHUNK
                 for clo in range(lo, hi, chunk):
                     if cancel.value:
@@ -190,7 +192,9 @@ def _worker_main(wid, fill, conn, cancel, kernel=None) -> None:
                     if kernel is not None:
                         kernel.merge(out, kernel.census_range(clo, chi))
                     else:
-                        out[clo - lo : chi - lo] = fill(clo, chi)
+                        out[sweep_entries(dtype, clo - lo, chi - lo)] = fill(
+                            clo, chi
+                        )
                 del out
             finally:
                 shm.close()
@@ -301,14 +305,16 @@ class ProcessBackend(SweepBackend):
         kernel=None,
         total: int | None = None,
     ) -> tuple[int, str | None]:
-        """Fill ``out[start:]`` with ``fill(lo, hi)``, sharded across the
-        supervised pool.
+        """Fill ``out`` from configuration ``start`` on with ``fill(lo, hi)``,
+        sharded across the supervised pool.
 
         Returns ``(next_lo, reason)``: ``reason`` is None when the sweep
         completed, else the budget trip reason and ``next_lo`` the end of
         the contiguous completed-and-charged prefix — the honest resume
         point.  Workers inherit ``fill`` by fork and call it one ``CHUNK``
-        at a time; any worker may compute any shard.
+        at a time into a shard segment of ``out``'s dtype (packed flip
+        words included, see :func:`~repro.perf.base.sweep_entries`); any
+        worker may compute any shard.
 
         Given a counts ``kernel`` (:mod:`repro.perf.counts`), the sweep
         shards the range ``[start, total)`` of that kernel instead: ``out``
@@ -329,7 +335,7 @@ class ProcessBackend(SweepBackend):
             transient = self.workers * kernel.transient_bytes()
         else:
             align, parts = CHUNK, 4
-            total = int(out.size)
+            total = 1 << self.ca.n
             transient = self._inner.transient_bytes()
         if start >= total:
             return total, None
@@ -365,7 +371,7 @@ class ProcessBackend(SweepBackend):
             conn, child_conn = ctx.Pipe()
             proc = ctx.Process(
                 target=_worker_main,
-                args=(wid, fill, child_conn, cancel, kernel),
+                args=(wid, fill, child_conn, cancel, kernel, out.dtype),
                 daemon=True,
             )
             proc.start()
@@ -455,7 +461,7 @@ class ProcessBackend(SweepBackend):
                         if counts:
                             shard_counts[sid] = kernel.census_range(lo, hi)
                         else:
-                            out[lo:hi] = fill(lo, hi)
+                            out[sweep_entries(out.dtype, lo, hi)] = fill(lo, hi)
                     except Exception as exc:
                         lease.fail(None, repr(exc), traceback.format_exc())
                         raise ShardFailed(
@@ -562,11 +568,13 @@ class ProcessBackend(SweepBackend):
                             reason = _admit(lo, hi)
                             if reason is not None:
                                 break
+                            entries = (
+                                kernel.counts_slots
+                                if counts
+                                else sweep_entries(out.dtype, 0, hi - lo).stop
+                            )
                             inflight[sid] = shared_memory.SharedMemory(
-                                create=True,
-                                size=8 * (
-                                    kernel.counts_slots if counts else hi - lo
-                                ),
+                                create=True, size=out.itemsize * entries
                             )
                             uncharged += hi - lo
                         if degraded:
@@ -654,8 +662,11 @@ class ProcessBackend(SweepBackend):
                                 )
                             )
                         else:
-                            out[lo:hi] = np.ndarray(
-                                hi - lo, dtype=np.int64, buffer=shm.buf
+                            part = sweep_entries(out.dtype, lo, hi)
+                            out[part] = np.ndarray(
+                                part.stop - part.start,
+                                dtype=out.dtype,
+                                buffer=shm.buf,
                             )
                         status[sid] = True
                         _cleanup_shm(sid)

@@ -14,9 +14,11 @@ the ``step_naive`` ground truth:
   schedule via ``update_node`` must match composing node-successor rows.
 
 On homogeneous rings, ``differential.transfer_counts`` also diffs the
-transfer-matrix fixed-point and period-two counts against the oracle, and
-on every instance ``differential.functional_graph`` diffs the cycle
-analysis of the oracle's successor array against the reference peel.
+transfer-matrix fixed-point and period-two counts against the oracle; on
+every instance ``differential.functional_graph`` diffs the cycle analysis
+of the oracle's successor array against the reference peel, and
+``differential.sequential_peel`` the flip-word sink peel and popcounts of
+the oracle's sequential map against SCC and the change-edge formulas.
 
 Each check returns a structured violation dict (or ``None``), keyed in
 :data:`CHECKS` so the shrinker and ``finding.json`` replay can re-run a
@@ -247,6 +249,47 @@ def check_functional_graph(inst: Instance):
                 "field": field,
                 **_diff_codes(expected, got),
             }
+    return None
+
+
+def check_sequential_peel(inst: Instance):
+    """The flip-word analysis vs SCC on the oracle's change edges.
+
+    The oracle's sequential map, packed into flip words, must give the
+    sink peel's verdict equal to "some SCC of the change-edge digraph
+    has size >= 2" (:func:`~repro.analysis.cycles.scc_labels` on edges
+    taken straight from ``oracle_node_succ``), and word popcounts equal
+    to the edge formulas: fixed points (no change edge out),
+    pseudo-fixed points (some self-loop, some change edge) and
+    unreachable configurations (no change edge in).  Every phase-space
+    summary runs the same peel, so only this check can see a bug in it
+    (the ``sequential-peel-round-short`` mutant).
+    """
+    from repro.analysis.cycles import scc_labels
+    from repro.core.nondet import NondetPhaseSpace
+
+    node_succ = inst.oracle_node_succ
+    size = node_succ.shape[1]
+    moved = node_succ != np.arange(size, dtype=np.int64)
+    srcs = np.nonzero(moved)[1]
+    dsts = node_succ[moved]
+    n_comp, labels = scc_labels(srcs, dsts, size)
+    expected = {
+        "fixed_points": int(np.count_nonzero(~moved.any(axis=0))),
+        "pseudo_fixed_points": int(
+            np.count_nonzero(moved.any(axis=0) & ~moved.all(axis=0))
+        ),
+        "has_proper_cycle": bool(
+            (np.bincount(labels, minlength=n_comp) >= 2).any()
+        ),
+        "unreachable_configs": int(
+            np.count_nonzero(np.bincount(dsts, minlength=size) == 0)
+        ),
+    }
+    summary = NondetPhaseSpace(node_succ, inst.ca.n).summary()
+    got = {key: summary[key] for key in expected}
+    if got != expected:
+        return {"vs": "scc_labels", "expected": expected, "got": got}
     return None
 
 
@@ -558,6 +601,7 @@ DIFFERENTIAL_CHECKS = {
     "differential.node_successors": check_node_successors,
     "differential.phase_digest": check_phase_digest,
     "differential.functional_graph": check_functional_graph,
+    "differential.sequential_peel": check_sequential_peel,
     "differential.trip_resume": check_trip_resume,
     "differential.schedule_step": check_schedule_step,
     "differential.attractor_census": check_attractor_census,

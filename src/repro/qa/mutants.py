@@ -16,11 +16,12 @@ import numpy as np
 
 import repro.analysis.cycles as cycles
 import repro.analysis.quotient as quotient
+import repro.core.nondet as nondet
 import repro.mc.sampler as mc_sampler
 import repro.perf.attractor as attractor
 import repro.perf.bitplane as bitplane
 from repro.mc.kernel import McKernel
-from repro.util.bitops import lane_counts
+from repro.util.bitops import flip_lanes, lane_counts
 
 __all__ = ["MUTANTS", "active_mutant"]
 
@@ -33,11 +34,13 @@ def _mutant_bitplane_stale_bit():
     """
 
     def node_flips_range(self, i, lo, hi):
-        lo0, hi0 = self._aligned(lo, hi)
-        new_plane = self._out_plane(i, lo0, (hi0 - lo0) >> 6, {})
+        _, hi0 = self._aligned(lo, hi)
         # BUG: flips bit i whenever the new bit is 1, rather than
         # whenever it differs from the old bit.
-        return self._unpack(new_plane)[lo - lo0 : hi - lo0].view(bool)
+        new_plane = self._out_plane(i, lo, (hi0 - lo) >> 6, {})
+        if hi < hi0:
+            new_plane &= np.uint64((1 << (hi - lo)) - 1)
+        return new_plane
 
     return [(bitplane.BitplaneBackend, "node_flips_range", node_flips_range)]
 
@@ -134,6 +137,34 @@ def _mutant_cycle_mask_round_early():
     return [(cycles, "_cycle_mask", _cycle_mask)]
 
 
+def _mutant_sequential_peel_round_short():
+    """Sink peel decides from the live set one round before the last.
+
+    The real peel reports whether the set it keeps in the round where the
+    set stops changing or empties is non-empty.  This one reports the set
+    that round started from: on a cyclic space the two are equal, but on
+    an acyclic one the round that empties the set starts from the sources
+    of the longest change paths, so every cycle-free space reads as
+    cyclic.  Only ``differential.sequential_peel`` diffs the peel against
+    SCC, ahead of the Lemma 1 oracle that would also trip over it.
+    """
+
+    def sink_peel(words, budget=None):
+        n = words.shape[0]
+        alive = np.full(words.shape[1], ~np.uint64(0))
+        if n < 6:
+            alive[0] = (1 << (1 << n)) - 1
+        while True:
+            kept = np.zeros_like(alive)
+            for i in range(n):
+                kept |= flip_lanes(alive, i) & words[i]
+            if not kept.any() or np.array_equal(kept, alive):
+                return bool(alive.any())  # BUG: one round short
+            alive = kept
+
+    return [(nondet, "sink_peel", sink_peel)]
+
+
 def _mutant_mc_sampler_tail_drop():
     """Uniform MC sampler silently drops the all-ones tail.
 
@@ -210,6 +241,7 @@ MUTANTS = {
     "quotient-reflection-drop": _mutant_quotient_reflection_drop,
     "necklace-period-drop": _mutant_necklace_period_drop,
     "cycle-mask-round-early": _mutant_cycle_mask_round_early,
+    "sequential-peel-round-short": _mutant_sequential_peel_round_short,
     "mc-sampler-tail-drop": _mutant_mc_sampler_tail_drop,
     "mc-sweep-level-merge": _mutant_mc_sweep_level_merge,
     "mc-energy-wrap-drop": _mutant_mc_energy_wrap_drop,

@@ -15,7 +15,9 @@ convention is spelled out.
 The SWAR kernels carry one configuration per *bit lane* instead: lane
 ``j`` of a ``uint64`` word array is bit ``j % 64`` of word ``j // 64``.
 :func:`pack_lanes`, :func:`unpack_lanes` and :func:`lane_counts` convert
-between lane words and per-lane values.
+between lane words and per-lane values; :func:`flip_lanes` and
+:func:`popcount_words` act on whole sets of configurations held as lane
+words (the sequential phase space's flip words).
 """
 
 from __future__ import annotations
@@ -29,8 +31,10 @@ __all__ = [
     "int_to_bits",
     "all_configurations",
     "flip_successors",
+    "flip_lanes",
     "popcount",
     "popcount_array",
+    "popcount_words",
     "rotate_bits",
     "rotate_bits_array",
     "reverse_bits",
@@ -93,14 +97,59 @@ def all_configurations(n: int) -> np.ndarray:
     return ((codes[:, None] >> np.arange(n, dtype=codes.dtype)) & 1).astype(np.uint8)
 
 
-def flip_successors(flips: np.ndarray) -> np.ndarray:
-    """The ``(n, 2**n)`` int64 successors ``c ^ (flips[i, c] << i)`` of a
-    sequential flip matrix (``flips[i, c]``: updating node ``i`` changes
-    configuration ``c``)."""
-    succ = flips.astype(np.int64)
-    succ <<= np.arange(succ.shape[0], dtype=np.int64)[:, None]
-    succ ^= np.arange(succ.shape[1], dtype=np.int64)
+def flip_successors(words: np.ndarray) -> np.ndarray:
+    """The ``(n, 2**n)`` int64 successors ``c ^ (f << i)`` of sequential
+    flip words: ``f``, lane ``c`` of row ``i``, says whether updating node
+    ``i`` changes configuration ``c``."""
+    n = words.shape[0]
+    succ = np.unpackbits(
+        np.ascontiguousarray(words).view(np.uint8),
+        axis=1,
+        count=1 << n,
+        bitorder="little",
+    ).astype(np.int64)
+    succ <<= np.arange(n, dtype=np.int64)[:, None]
+    succ ^= np.arange(1 << n, dtype=np.int64)
     return succ
+
+
+#: ``(shift, mask)`` of each ``i < 6``: the shift ``2**i`` and the word
+#: mask of the lanes whose bit ``i`` is 0, the low half of every aligned
+#: group of ``2 * 2**i`` lanes (0-d arrays: NumPy dispatches them faster
+#: than scalars, which tells on one-word spaces)
+_HALF_SWAPS = tuple(
+    (
+        np.array(1 << i, dtype=np.uint64),
+        np.array(
+            sum(1 << t for t in range(64) if not (t >> i) & 1), dtype=np.uint64
+        ),
+    )
+    for i in range(6)
+)
+
+
+def flip_lanes(words: np.ndarray, i: int) -> np.ndarray:
+    """Lane words with the bit of lane ``x`` moved to lane ``x ^ 2**i``
+    (along the last axis).
+
+    For ``i < 6`` the partner lanes share a word: a shift and a mask swap
+    each word's halves.  For ``i >= 6`` whole blocks of ``2**(i - 6)``
+    words swap places.
+    """
+    if i < 6:
+        shift, low = _HALF_SWAPS[i]
+        out = words >> shift
+        out &= low
+        high = words & low
+        high <<= shift
+        out |= high
+        return out
+    blocks = words.reshape(*words.shape[:-1], -1, 2, 1 << (i - 6))
+    out = np.empty_like(words)
+    swapped = out.reshape(blocks.shape)
+    swapped[..., 0, :] = blocks[..., 1, :]
+    swapped[..., 1, :] = blocks[..., 0, :]
+    return out
 
 
 def popcount(value: int) -> int:
@@ -117,12 +166,28 @@ def popcount_array(codes: np.ndarray) -> np.ndarray:
     everything inside NumPy (no Python-level loop over elements).
     """
     v = codes.astype(np.uint64, copy=True)
-    v = v - ((v >> np.uint64(1)) & np.uint64(0x5555555555555555))
-    v = (v & np.uint64(0x3333333333333333)) + (
-        (v >> np.uint64(2)) & np.uint64(0x3333333333333333)
-    )
-    v = (v + (v >> np.uint64(4))) & np.uint64(0x0F0F0F0F0F0F0F0F)
-    return ((v * np.uint64(0x0101010101010101)) >> np.uint64(56)).astype(np.int64)
+    # In place, so at most one temporary of the input's size is live.
+    t = v >> np.uint64(1)
+    t &= np.uint64(0x5555555555555555)
+    v -= t
+    np.right_shift(v, np.uint64(2), out=t)
+    t &= np.uint64(0x3333333333333333)
+    v &= np.uint64(0x3333333333333333)
+    v += t
+    np.right_shift(v, np.uint64(4), out=t)
+    v += t
+    v &= np.uint64(0x0F0F0F0F0F0F0F0F)
+    del t
+    v *= np.uint64(0x0101010101010101)
+    v >>= np.uint64(56)
+    return v.view(np.int64)
+
+
+def popcount_words(words: np.ndarray) -> int:
+    """Number of set bits (lanes) in a ``uint64`` word array."""
+    if hasattr(np, "bitwise_count"):  # NumPy >= 2.0: one byte per word
+        return int(np.bitwise_count(words).sum())
+    return int(popcount_array(words).sum())
 
 
 def rotate_bits(value: int, n: int, shift: int) -> int:
@@ -217,7 +282,9 @@ LANE_COUNT_TAIL_ROWS = 32
 
 
 def pack_lanes(bools: np.ndarray) -> np.ndarray:
-    """Per-lane booleans (length a multiple of 64) to ``uint64`` words."""
+    """Per-lane booleans to ``uint64`` words, zero-padded to whole words."""
+    if bools.size % 64:
+        bools = np.concatenate([bools, np.zeros(-bools.size % 64, dtype=bools.dtype)])
     return np.packbits(bools, bitorder="little").view(np.uint64)
 
 

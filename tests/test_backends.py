@@ -171,11 +171,30 @@ class TestRandomRules:
 
 
 class TestProcessBackend:
-    def test_step_all_matches_serial(self):
+    def test_step_all_matches_serial(self, monkeypatch):
+        # Chunks of 256 configurations, so each of the 8 shards holds two:
+        # the int64 successors and a node's packed flip words must both
+        # land at their own entries, with no shard failing on the way
+        # (the inline fallback would hide it).
+        import repro.perf.base as base_mod
+        import repro.perf.process as process_mod
+        from repro import obs
+
+        def shard_errors():
+            counters = obs.REGISTRY.snapshot()["counters"]
+            return counters.get("perf.process.shard_errors", 0)
+
+        monkeypatch.setattr(base_mod, "CHUNK", 256)
+        monkeypatch.setattr(process_mod, "CHUNK", 256)
+        errors = shard_errors()
         ca = make_ca(Ring(12), MajorityRule(), backend="process", workers=2)
         assert isinstance(ca.backend, ProcessBackend)
         ref = make_ca(Ring(12), MajorityRule(), backend="numpy")
         np.testing.assert_array_equal(ca.step_all(), ref.step_all())
+        np.testing.assert_array_equal(
+            ca.all_node_successors(), ref.all_node_successors()
+        )
+        assert shard_errors() == errors
 
     def test_governed_build_matches_serial(self):
         ca = make_ca(Ring(16), MajorityRule(), backend="process", workers=2)

@@ -10,12 +10,14 @@ from repro.util.bitops import (
     bits_to_int,
     canonical_ring_form,
     config_str,
+    flip_lanes,
     int_to_bits,
     lane_counts,
     pack_lanes,
     parse_config,
     popcount,
     popcount_array,
+    popcount_words,
     reverse_bits,
     reverse_bits_array,
     rotate_bits,
@@ -277,6 +279,51 @@ class TestLanePacking:
         bools = np.zeros(128, dtype=bool)
         bools[[0, 65, 127]] = True
         assert pack_lanes(bools).tolist() == [1, 2 | (1 << 63)]
+
+    def test_pads_to_whole_words(self):
+        assert pack_lanes(np.ones(4, dtype=bool)).tolist() == [0b1111]
+        assert pack_lanes(np.ones(65, dtype=bool)).tolist() == [2**64 - 1, 1]
+
+
+def _random_words(shape, seed):
+    return np.random.default_rng(seed).integers(
+        0, np.iinfo(np.uint64).max, size=shape, dtype=np.uint64, endpoint=True
+    )
+
+
+class TestFlipLanes:
+    @pytest.mark.parametrize("nwords", [1, 2, 4, 32])
+    def test_moves_lane_x_to_x_xor_2_to_the_i(self, nwords):
+        words = _random_words(nwords, nwords)
+        lanes = 64 * nwords
+        bits = unpack_lanes(words, lanes)
+        partner = np.arange(lanes)
+        for i in range(lanes.bit_length() - 1):
+            got = flip_lanes(words, i)
+            np.testing.assert_array_equal(
+                unpack_lanes(got, lanes), bits[partner ^ (1 << i)], f"i={i}"
+            )
+            # a fresh array: the peel flips its live set and ANDs in place
+            assert not np.shares_memory(got, words)
+
+    def test_flips_each_row_along_the_last_axis(self):
+        words = _random_words((3, 8), 7)
+        for i in range(9):
+            np.testing.assert_array_equal(
+                flip_lanes(words, i), [flip_lanes(row, i) for row in words]
+            )
+
+
+class TestPopcountWords:
+    @pytest.mark.parametrize("shape", [1, 5, (3, 4)])
+    def test_matches_unpacked_sum(self, shape):
+        words = _random_words(shape, 11)
+        bits = np.unpackbits(words.view(np.uint8))
+        assert popcount_words(words) == int(bits.sum())
+
+    def test_extremes(self):
+        assert popcount_words(np.zeros(3, dtype=np.uint64)) == 0
+        assert popcount_words(np.full(3, 2**64 - 1, dtype=np.uint64)) == 192
 
 
 class TestConfigStr:

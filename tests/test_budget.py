@@ -77,9 +77,11 @@ class TestParseSize:
     def test_estimates_scale(self):
         assert estimate_succ_bytes(24) == (1 << 24) * 8
         assert estimate_phase_space_bytes(10) > estimate_succ_bytes(10)
-        # worst case: a flip byte and a change edge per (config, node),
-        # plus the per-configuration analysis arrays
-        assert estimate_nondet_bytes(10) == (1 << 10) * (10 * 35 + 30)
+        # worst case: a flip bit and a change edge per (config, node),
+        # plus the per-configuration SCC arrays and the peel's 5 word rows
+        assert estimate_nondet_bytes(10) == (
+            (1 << 10) * (10 * 34 + 22) + (10 + 5) * (1 << 10) // 8
+        )
 
 
 class TestCancelToken:
@@ -282,8 +284,9 @@ class TestGovernedNondet:
         save_frontier(tmp_path, p1)
         frontier = load_frontier(tmp_path)
         assert frontier["next_row"] == rows_done
-        # the flip rows round-trip as bool, bit for bit
-        assert frontier["succ"].dtype == bool
+        # the flip words round-trip as uint64, bit for bit
+        assert frontier["succ"].dtype == np.uint64
+        assert frontier["succ"].shape == (10, (1 << 10) // 64)
         np.testing.assert_array_equal(
             frontier["succ"][:rows_done], p1.frontier["succ"][:rows_done]
         )
@@ -292,21 +295,25 @@ class TestGovernedNondet:
         assert p2.value.summary() == exact.summary()
 
     def test_int64_frontier_refused(self, tmp_path):
-        # A frontier of int64 successor rows (the format before flip
-        # rows) must be refused, never read as flips.
+        # A frontier of int64 successor rows, or of bool flip rows (the
+        # two formats before flip words), must be refused, never read as
+        # flip words.
         ca = CellularAutomaton(Ring(10), MajorityRule())
         p1 = build_nondet_phase_space(
             ca, budget=Budget(max_states=3 * (1 << 10))
         )
-        old = dict(p1.frontier, succ=ca.all_node_successors())
-        save_frontier(tmp_path, dataclasses.replace(p1, frontier=old))
-        with pytest.raises(ValueError, match="int64 successor rows"):
-            build_nondet_phase_space(ca, frontier=load_frontier(tmp_path))
-        with pytest.raises(SystemExit, match="int64 successor rows"):
-            run_cli(
-                "phase-space", "--n", "10", "--mode", "sequential",
-                "--resume", str(tmp_path),
-            )
+        succ = ca.all_node_successors()
+        for rows, dtype in ((succ, "int64"), (succ != np.arange(1 << 10), "bool")):
+            old = dict(p1.frontier, succ=rows)
+            save_frontier(tmp_path, dataclasses.replace(p1, frontier=old))
+            message = f"holds {dtype} rows of 1024 entries, not 16 uint64 flip"
+            with pytest.raises(ValueError, match=message):
+                build_nondet_phase_space(ca, frontier=load_frontier(tmp_path))
+            with pytest.raises(SystemExit, match=message):
+                run_cli(
+                    "phase-space", "--n", "10", "--mode", "sequential",
+                    "--resume", str(tmp_path),
+                )
 
 
 @pytest.mark.parametrize("build", [build_phase_space, build_nondet_phase_space])
@@ -436,6 +443,33 @@ class TestBudgetCLI:
         assert "resuming from" in text2
         assert "explored 2^18/2^18 configs (complete)" in text2
         assert "fixed_points: 5780" in text2  # exact despite the detour
+
+    def test_analysis_trip_names_its_bytes_then_larger_resume_completes(
+        self, tmp_path
+    ):
+        # XOR is cyclic, so its SCC is charged: the flip words (128 KiB)
+        # and a row's sweep scratch fit 4M, the analysis does not.  The
+        # trip must name the analysis bytes, not promise that a resume
+        # under the same ceiling continues; a larger ceiling finishes.
+        args = ("phase-space", "--n", "16", "--rule", "xor",
+                "--mode", "sequential", "--backend", "bitplane",
+                "--resume", str(tmp_path))
+        code, text = run_cli(*args, "--budget-mem", "4M")
+        assert code == 3
+        assert "rows_done: 16" in text
+        need = int(text.split("analysis_bytes: ")[1].split()[0])
+        assert 4 << 20 < need
+        assert "rerun with --resume" in text and "to continue" not in text
+        assert f"--budget-mem {-(-need // (1 << 20))}M or more" in text
+        code, text = run_cli(*args, "--budget-mem", "4M")
+        assert code == 3 and f"analysis_bytes: {need}" in text
+        code, resumed = run_cli(*args, "--budget-mem", f"{-(-need // (1 << 20))}M")
+        assert code == 0
+        code, plain = run_cli(*args[:-2])
+        assert code == 0
+        tail = resumed[resumed.index("  explored"):]
+        assert tail == plain[plain.index("  explored"):]
+        assert "has_proper_cycle: True" in tail
 
     def test_small_n_unaffected_by_default(self):
         code, text = run_cli("phase-space", "--n", "8", "--rule", "majority")

@@ -3,11 +3,16 @@
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.analysis.cycles import scc_labels
 from repro.core.automaton import CellularAutomaton
-from repro.core.budget import Budget
+from repro.core.budget import Budget, BudgetExceeded
 from repro.core.heterogeneous import HeterogeneousCA
-from repro.core.nondet import NondetPhaseSpace, build_nondet_phase_space
+from repro.core.nondet import (
+    NondetPhaseSpace,
+    build_nondet_phase_space,
+    sink_peel,
+)
 from repro.core.phase_space import PhaseSpace
 from repro.core.rules import MajorityRule, SimpleThresholdRule, WolframRule, XorRule
 from repro.spaces.line import Line, Ring
@@ -147,16 +152,112 @@ class TestMemorylessVariant:
         assert not nps.has_proper_cycle()
 
 
+class _CountingBudget:
+    """Stands in for a Budget: counts the peel's polls."""
+
+    def __init__(self):
+        self.polls = 0
+
+    def check(self):
+        self.polls += 1
+
+
+def _traced_peel(words, budget) -> tuple[bool, int]:
+    """The peel's verdict and the ``rounds`` of its ``nondet.peel`` span."""
+    events = []
+    sink = events.append
+    obs.enable()
+    obs.add_sink(sink)
+    try:
+        cyclic = sink_peel(words, budget)
+    finally:
+        obs.remove_sink(sink)
+        obs.disable()
+    (peel,) = [e for e in events if e["name"] == "nondet.peel"]
+    return cyclic, peel["attrs"]["rounds"]
+
+
+class TestSinkPeel:
+    @pytest.mark.parametrize(
+        "make_ca",
+        [
+            lambda: CellularAutomaton(Ring(9), MajorityRule()),
+            lambda: CellularAutomaton(Ring(7), MajorityRule(), memory=False),
+            lambda: CellularAutomaton(Line(8), SimpleThresholdRule(1)),
+            lambda: CellularAutomaton(Ring(8), SimpleThresholdRule(2)),
+            lambda: CellularAutomaton(Ring(5), WolframRule(204)),  # identity
+        ],
+        ids=["majority", "memoryless", "line-threshold1", "threshold2", "identity"],
+    )
+    def test_acyclic_rounds_are_longest_change_path_plus_one(self, make_ca):
+        """One poll per round, and one round more than the longest change
+        path of the (acyclic) reference graph."""
+        import networkx as nx
+
+        ca = make_ca()
+        node_succ = _scalar_node_successors(ca)
+        graph = nx.DiGraph()
+        graph.add_nodes_from(range(1 << ca.n))
+        codes = np.arange(1 << ca.n)
+        for row in node_succ:
+            moved = row != codes
+            graph.add_edges_from(zip(codes[moved].tolist(), row[moved].tolist()))
+        assert nx.is_directed_acyclic_graph(graph)
+        words = NondetPhaseSpace(node_succ, ca.n).words
+        budget = _CountingBudget()
+        cyclic, rounds = _traced_peel(words, budget)
+        assert cyclic is False
+        assert rounds == nx.dag_longest_path_length(graph) + 1
+        assert budget.polls == rounds
+
+    @pytest.mark.parametrize("number", [30, 51, 90, 110, 150, 184])
+    def test_cyclic_verdict_matches_scc(self, number):
+        ca = CellularAutomaton(Ring(7), WolframRule(number))
+        node_succ = _scalar_node_successors(ca)
+        ref = _reference_analysis(node_succ)["summary"]["has_proper_cycle"]
+        budget = _CountingBudget()
+        cyclic, rounds = _traced_peel(NondetPhaseSpace(node_succ, 7).words, budget)
+        assert cyclic is ref
+        assert budget.polls == rounds
+
+    def test_cancelled_budget_stops_the_peel(self):
+        ca = CellularAutomaton(Ring(10), MajorityRule())
+        nps = build_nondet_phase_space(ca, budget=Budget()).value
+        budget = Budget()
+        budget.token.cancel("test")
+        fresh = NondetPhaseSpace(nps.words, ca.n)
+        with pytest.raises(BudgetExceeded):
+            fresh._peel(budget)
+        assert fresh._cyclic is None  # no verdict cached from a stopped peel
+        assert fresh.has_proper_cycle() is False
+
+    def test_cancel_during_the_peel_truncates_the_build(self):
+        class CancelAtPeel(Budget):
+            """Cancels at its first ``check()``: only the peel calls it."""
+
+            def check(self, pending_bytes=0, partial=None):
+                self.token.cancel("test")
+                super().check(pending_bytes, partial)
+
+        ca = CellularAutomaton(Ring(10), MajorityRule())
+        partial = build_nondet_phase_space(ca, budget=CancelAtPeel())
+        assert not partial.complete
+        assert partial.reason == "cancelled: test"
+        assert partial.stats == {"rows_done": 10, "rows_total": 10}
+
+
 class TestAnalysisMemory:
     @pytest.mark.parametrize("n", [14, 16])
     @pytest.mark.parametrize(
-        # a quarter, half and (Wolfram 51: NOT of the own state) all of
-        # the updates change their configuration
+        # a quarter (acyclic), half and (Wolfram 51: NOT of the own
+        # state) all of the updates change their configuration
         "rule", [MajorityRule(), XorRule(), WolframRule(51)], ids=str
     )
     def test_build_and_summary_fit_the_charge(self, rule, n):
-        """The governed build charges its rows and, from the change-edge
-        count, the analysis: together they cover the traced peak."""
+        """The governed build charges its flip words and the analysis (a
+        row's sweep scratch or the peel's word rows, and a cyclic space's
+        SCC from its change-edge count): together they cover the traced
+        peak."""
         import tracemalloc
 
         ca = CellularAutomaton(Ring(n), rule)
@@ -169,6 +270,33 @@ class TestAnalysisMemory:
         finally:
             tracemalloc.stop()
         assert peak <= budget.bytes_held
+
+    @pytest.mark.parametrize("n", [16, 18])
+    @pytest.mark.parametrize("rule", [MajorityRule(), XorRule()], ids=str)
+    def test_analysis_before_the_scc_fits_the_peel_rows(self, rule, n):
+        """Besides the flip words, what the analysis runs before any SCC
+        holds at most ``NONDET_PEEL_ROWS`` word rows: the peel, the
+        change-edge count that prices a cyclic space's SCC and, on the
+        acyclic MAJORITY space, all of ``summary()`` (no SCC, no
+        per-configuration array)."""
+        import tracemalloc
+
+        from repro.core.budget import NONDET_PEEL_ROWS
+
+        ca = CellularAutomaton(Ring(n), rule)
+        words = build_nondet_phase_space(ca, budget=Budget()).value.words
+        nps = NondetPhaseSpace(words, n)
+        tracemalloc.start()
+        try:
+            cyclic = nps.has_proper_cycle()
+            nps.change_edge_count()
+            if not cyclic:
+                nps.summary()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cyclic is isinstance(rule, XorRule)
+        assert peak <= NONDET_PEEL_ROWS * words[0].nbytes
 
 
 def _scalar_node_successors(ca) -> np.ndarray:
@@ -240,7 +368,7 @@ def _reference_analysis(node_succ: np.ndarray) -> dict:
 
 
 class TestFlipFormat:
-    """The flip-matrix analysis gives the int64-successor formulas'
+    """The flip-word analysis gives the int64-successor formulas'
     answers, on every sweep backend."""
 
     @staticmethod
@@ -248,10 +376,19 @@ class TestFlipFormat:
         """``make_ca(backend)`` builds the automaton on one backend."""
         node_succ = _scalar_node_successors(make_ca("numpy"))
         ref = _reference_analysis(node_succ)
+        n, size = node_succ.shape
+        # bit x of row i is set iff updating node i changes x; a space of
+        # less than one word is one word with zero padding bits
+        flips = node_succ != np.arange(size)
+        want = np.zeros((n, max(1, size >> 6)), dtype=np.uint64)
+        for i, x in zip(*np.nonzero(flips)):
+            want[i, x >> 6] |= np.uint64(1) << np.uint64(x & 63)
         for backend in ("numpy", "bitplane"):
             ca = make_ca(backend)
             what = f"{ca.describe()} on {backend}"
             nps = build_nondet_phase_space(ca, budget=Budget()).value
+            assert nps.words.dtype == np.uint64, what
+            np.testing.assert_array_equal(nps.words, want, what)
             np.testing.assert_array_equal(nps.node_succ, node_succ, what)
             for attr in ("fixed_points", "pseudo_fixed_points"):
                 np.testing.assert_array_equal(
@@ -266,9 +403,11 @@ class TestFlipFormat:
             transitions = [nps.transitions(c) for c in range(nps.size)]
             assert transitions == ref["transitions"], what
             assert nps.summary() == ref["summary"], what
-        # the integer matrix converts to the same flips
-        converted = NondetPhaseSpace(node_succ, ca.n)
-        np.testing.assert_array_equal(converted.flips, nps.flips)
+        # the integer and the bool matrix convert to the same words
+        for matrix in (node_succ, flips):
+            converted = NondetPhaseSpace(matrix, ca.n)
+            np.testing.assert_array_equal(converted.words, want)
+            assert converted.summary() == ref["summary"]
 
     def test_every_wolfram_rule_on_ring6(self):
         for number in range(256):
@@ -283,6 +422,7 @@ class TestFlipFormat:
         ids=str,
     )
     def test_threshold_and_xor_rules(self, rule, space):
+        # n = 2..5 are one padded word; XOR on Line(2) is Fig. 1's automaton
         for n in range(3 if space is Ring else 2, 11):
             self._check(lambda b: CellularAutomaton(space(n), rule, backend=b))
 

@@ -376,7 +376,7 @@ class TestNoLockLeftHeld:
             conn, child_conn = ctx.Pipe()
             proc = ctx.Process(
                 target=procmod._worker_main,
-                args=(wid, None, child_conn, cancel),
+                args=(wid, None, child_conn, cancel, None, np.int64),
                 daemon=True,
             )
             proc.start()
