@@ -222,7 +222,10 @@ def scc_labels(
     """Strongly connected component labels of a sparse digraph.
 
     ``rows -> cols`` are the directed edges.  Wraps SciPy's compiled
-    implementation; returns ``(n_components, labels)``.
+    implementation; returns ``(n_components, labels)``.  Components are
+    numbered in reverse topological order, as each completes: every edge
+    between two components runs from the higher label to the lower
+    (:class:`~repro.core.closure.ReachabilityClosure` relies on it).
     """
     rows = np.asarray(rows, dtype=np.int64)
     cols = np.asarray(cols, dtype=np.int64)
@@ -251,7 +254,8 @@ def scc_labels_python(
 ) -> tuple[int, np.ndarray]:
     """Reference SCC implementation: iterative Tarjan in pure Python.
 
-    Same contract as :func:`scc_labels`.  Kept as the correctness oracle
+    Same contract as :func:`scc_labels`, label order included: Tarjan
+    labels a component when it completes.  Kept as the correctness oracle
     and the ablation baseline for the compiled SciPy path (see
     ``benchmarks/bench_ablation_scc.py``); use :func:`scc_labels` in
     production code.

@@ -18,7 +18,6 @@ from collections.abc import Iterator, Sequence
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import linprog
 
 from repro.util.bitops import popcount
 from repro.util.validation import check_positive
@@ -161,6 +160,9 @@ class BooleanFunction:
         ``None`` when the LP is infeasible — i.e. the function is *not* a
         linear threshold function (e.g. XOR).
         """
+        # Imported here: only this LP needs scipy.optimize, a 0.5 s import.
+        from scipy.optimize import linprog
+
         k = self.arity
         size = self.table.size
         # Variables: w_0..w_{k-1}, theta.  Constraints in A_ub @ v <= b_ub.

@@ -4,13 +4,15 @@ The interleaving audit asks many reachability queries against the same
 nondeterministic transition graph — per-source BFS repeats work
 quadratically.  This module computes the *full* reachability relation
 once: condense the change-edge digraph by strongly connected components
-(configurations in one SCC reach exactly the same set), process the
-condensation in reverse topological order, and accumulate per-component
-reachable sets as packed ``uint64`` bitsets — the union of two reachable
-sets is then a vectorized OR over ``2**n / 64`` words.
+(configurations in one SCC reach exactly the same set) and accumulate
+per-component reachable sets as packed ``uint64`` bitsets in increasing
+label order — :func:`~repro.analysis.cycles.scc_labels` numbers the
+components reverse-topologically, so every component a label reaches has
+a smaller label and is complete before it.  The union of two reachable
+sets is a vectorized OR over ``2**n / 64`` words.
 
 Memory is ``n_components * 2**n / 8`` bytes: ~2 MB at n = 12, ~32 MB at
-n = 14 (the enforced cap).  Above that, fall back to per-query BFS
+n = 14 (the enforced cap).  Above that, fall back to per-query searches
 (:meth:`repro.core.nondet.NondetPhaseSpace.reachable_from`).
 """
 
@@ -18,8 +20,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.analysis.cycles import scc_labels
 from repro.core.nondet import NondetPhaseSpace
+from repro.util.bitops import popcount_words
 
 __all__ = ["ReachabilityClosure"]
 
@@ -43,40 +45,19 @@ class ReachabilityClosure:
         self.nps = nps
         size = nps.size
         srcs, dsts = nps._change_edges
-
-        n_comp, labels = scc_labels(srcs, dsts, size)
+        n_comp, labels = nps._scc
         self.labels = labels
         self.n_components = n_comp
 
-        # Condensation edges (deduplicated, self-edges dropped).
-        if srcs.size:
-            comp_edges = np.unique(
-                np.stack([labels[srcs], labels[dsts]], axis=1), axis=0
-            )
-            comp_edges = comp_edges[comp_edges[:, 0] != comp_edges[:, 1]]
-        else:
-            comp_edges = np.empty((0, 2), dtype=np.int64)
-
-        # Kahn topological order of the condensation.
-        indeg = np.zeros(n_comp, dtype=np.int64)
-        np.add.at(indeg, comp_edges[:, 1], 1)
-        adj_order = np.argsort(comp_edges[:, 0], kind="stable")
-        sorted_edges = comp_edges[adj_order]
-        starts = np.searchsorted(
-            sorted_edges[:, 0], np.arange(n_comp + 1)
+        # Condensation edges, deduplicated and sorted by source label.
+        src_comp, dst_comp = labels[srcs], labels[dsts]
+        cross = src_comp != dst_comp
+        comp_edges = np.unique(
+            np.stack([src_comp[cross], dst_comp[cross]], axis=1), axis=0
         )
-        topo: list[int] = []
-        queue = list(np.flatnonzero(indeg == 0))
-        while queue:
-            v = int(queue.pop())
-            topo.append(v)
-            for k in range(starts[v], starts[v + 1]):
-                w = int(sorted_edges[k, 1])
-                indeg[w] -= 1
-                if indeg[w] == 0:
-                    queue.append(w)
-        if len(topo) != n_comp:  # pragma: no cover - SCC condensation is a DAG
-            raise AssertionError("condensation is not acyclic")
+        assert (comp_edges[:, 0] > comp_edges[:, 1]).all(), (
+            "SCC labels are not in reverse topological order"
+        )
 
         # Membership bitsets: bit c of row k <=> config c in component k.
         words = (size + 63) // 64
@@ -88,10 +69,10 @@ class ReachabilityClosure:
             np.uint64(1) << (codes & 63).astype(np.uint64),
         )
 
-        # Reverse topological accumulation: R(v) = members(v) | U R(succ).
-        for v in reversed(topo):
-            for k in range(starts[v], starts[v + 1]):
-                bits[v] |= bits[int(sorted_edges[k, 1])]
+        # R(v) = members(v) | U R(w) over the edges v -> w, where w < v is
+        # complete by the time the sorted edges reach v.
+        for v, w in comp_edges.tolist():
+            bits[v] |= bits[w]
         self._bits = bits
 
     # -- queries -----------------------------------------------------------------
@@ -102,10 +83,7 @@ class ReachabilityClosure:
 
     def can_reach(self, source: int, target: int) -> bool:
         """True iff some update sequence drives ``source`` to ``target``."""
-        row = self.reachable_row(source)
-        return bool(
-            (row[target >> 6] >> np.uint64(target & 63)) & np.uint64(1)
-        )
+        return self.can_reach_all(source, [target])
 
     def can_reach_all(self, source: int, targets: list[int]) -> bool:
         """True iff every target is reachable from ``source``."""
@@ -116,6 +94,4 @@ class ReachabilityClosure:
 
     def reachable_count(self, code: int) -> int:
         """Number of configurations reachable from ``code`` (incl. itself)."""
-        row = self.reachable_row(code)
-        return int(np.bitwise_count(row).sum()) if hasattr(np, "bitwise_count") \
-            else int(sum(bin(int(w)).count("1") for w in row))
+        return popcount_words(self.reachable_row(code))

@@ -21,7 +21,10 @@ holds those words and answers the paper's questions:
   keep revisiting because one of their single-node updates is a self-loop?
 * What is sequentially reachable from where? (Used by the interleaving
   experiments: e.g. ``00`` in Fig. 1(b) is a fixed point that no other
-  configuration can reach.)
+  configuration can reach.)  A search grows a set of configurations held
+  as words one breadth-first level at a time: the successors of a set
+  ``S`` are ``OR_i flip_i(S & U_i)`` and its predecessors
+  ``OR_i (U_i & flip_i(S))``, ``U_i`` the flip words of node ``i``.
 """
 
 from __future__ import annotations
@@ -30,8 +33,6 @@ from functools import cached_property
 
 import networkx as nx
 import numpy as np
-from scipy import sparse
-from scipy.sparse import csgraph
 
 from repro.analysis.cycles import scc_labels
 from repro.core.automaton import CellularAutomaton
@@ -50,7 +51,6 @@ from repro.perf.base import MAX_SWEEP_N, flip_row_words
 from repro.util.bitops import (
     config_str,
     flip_lanes,
-    flip_successors,
     pack_lanes,
     popcount_words,
     unpack_lanes,
@@ -104,6 +104,16 @@ def sink_peel(words: np.ndarray, budget: Budget | None = None) -> bool:
                 break
         peel_span.set(rounds=rounds, cyclic=count > 0)
     return count > 0
+
+
+def _check_code(code: int, size: int) -> None:
+    if not 0 <= int(code) < size:
+        raise ValueError("configuration code out of range")
+
+
+def _has(words: np.ndarray, code: int) -> bool:
+    """Whether lane ``code`` of ``words`` is set."""
+    return bool(words[code >> 6] >> np.uint64(code & 63) & np.uint64(1))
 
 
 class NondetPhaseSpace:
@@ -194,15 +204,6 @@ class NondetPhaseSpace:
             reached |= flip_lanes(self.words[i], i)  # x's edge enters x ^ 2**i
         return reached
 
-    @cached_property
-    def node_succ(self) -> np.ndarray:
-        """The ``(n, 2**n)`` int64 successor matrix, derived from the flip
-        words on first use (read-only; eight bytes per entry, so small
-        spaces)."""
-        succ = flip_successors(self.words)
-        succ.flags.writeable = False
-        return succ
-
     def transitions(self, code: int) -> list[tuple[int, int]]:
         """All ``(node, successor)`` pairs from a configuration
         (self-loops included)."""
@@ -229,14 +230,6 @@ class NondetPhaseSpace:
             np.bitwise_xor(srcs[part], 1 << i, out=dsts[part])
             at += count
         return srcs, dsts
-
-    @cached_property
-    def _union_csr(self) -> sparse.csr_matrix:
-        srcs, dsts = self._change_edges
-        return sparse.csr_matrix(
-            (np.ones(srcs.size, dtype=np.int8), (srcs, dsts)),
-            shape=(self.size, self.size),
-        )
 
     # -- fixed points ----------------------------------------------------------
 
@@ -311,42 +304,53 @@ class NondetPhaseSpace:
 
     # -- reachability ---------------------------------------------------------
 
+    def _levels(self, code: int, forward: bool = True):
+        """Yield ``(seen, level)`` word rows round by round: ``level`` the
+        configurations first met ``k`` change edges after (``forward``) or
+        before ``code``, ``seen`` all met so far (grown in place; each
+        level is a new row).  Six rows at most are live: those two, the
+        next level, and a masked copy, a flipped copy and its temporary.
+        """
+        _check_code(code, self.size)
+        level = np.zeros_like(self.words[0])
+        level[int(code) >> 6] = np.uint64(1) << np.uint64(int(code) & 63)
+        seen = level.copy()
+        while True:
+            yield seen, level
+            grown = np.zeros_like(seen)
+            for i, row in enumerate(self.words):
+                if forward:  # x -> x ^ 2**i for x in level & U_i
+                    grown |= flip_lanes(level & row, i)
+                else:  # x in U_i with x ^ 2**i in level
+                    moved = flip_lanes(level, i)
+                    moved &= row
+                    grown |= moved
+            grown |= seen
+            grown ^= seen  # the configurations not met before
+            if not grown.any():
+                return
+            seen |= grown
+            level = grown
+
     def reachable_from(self, code: int) -> np.ndarray:
         """All configurations reachable from ``code`` by some update sequence.
 
         ``code`` itself is included (the empty sequence).
         """
-        order = csgraph.breadth_first_order(
-            self._union_csr, int(code), directed=True, return_predecessors=False
-        )
-        mask = np.zeros(self.size, dtype=bool)
-        mask[order] = True
-        mask[code] = True
-        return np.flatnonzero(mask)
+        for seen, _ in self._levels(code):
+            pass
+        return self._lanes(seen)
 
     def can_reach(self, source: int, target: int) -> bool:
         """True iff some sequential interleaving drives source to target."""
-        if source == target:
-            return True
-        mask = np.zeros(self.size, dtype=bool)
-        order = csgraph.breadth_first_order(
-            self._union_csr, int(source), directed=True, return_predecessors=False
-        )
-        mask[order] = True
-        return bool(mask[target])
+        _check_code(target, self.size)
+        return any(_has(level, target) for _, level in self._levels(source))
 
     def coreachable_to(self, code: int) -> np.ndarray:
         """All configurations from which ``code`` is reachable (incl. itself)."""
-        order = csgraph.breadth_first_order(
-            self._union_csr.T.tocsr(),
-            int(code),
-            directed=True,
-            return_predecessors=False,
-        )
-        mask = np.zeros(self.size, dtype=bool)
-        mask[order] = True
-        mask[code] = True
-        return np.flatnonzero(mask)
+        for seen, _ in self._levels(code, forward=False):
+            pass
+        return self._lanes(seen)
 
     def shortest_schedule(self, source: int, target: int) -> list[int] | None:
         """An explicit update word driving ``source`` to ``target``, if any.
@@ -354,25 +358,29 @@ class NondetPhaseSpace:
         Returns the node indices of a shortest sequence of *effective*
         single-node updates (the constructive witness behind "there exists
         an interleaving"), ``[]`` when source == target, or ``None`` when
-        no interleaving reaches the target.
+        no interleaving reaches the target.  The search keeps one word row
+        per level; walking back from the target, each step takes the
+        smallest node whose update enters it from the level before, so the
+        word is deterministic.
         """
-        if not 0 <= source < self.size or not 0 <= target < self.size:
-            raise ValueError("configuration code out of range")
-        if source == target:
-            return []
-        order, predecessors = csgraph.breadth_first_order(
-            self._union_csr, int(source), directed=True, return_predecessors=True
-        )
-        del order
-        if predecessors[target] < 0:
+        _check_code(target, self.size)
+        levels = []
+        for _, level in self._levels(source):
+            levels.append(level)
+            if _has(level, target):
+                break
+        else:
             return None
-        # Walk predecessors back to the source, then label each edge by
-        # the one bit it flips: the updated node.
-        path = [int(target)]
-        while path[-1] != source:
-            path.append(int(predecessors[path[-1]]))
-        path.reverse()
-        return [(a ^ b).bit_length() - 1 for a, b in zip(path, path[1:])]
+        word, code = [], int(target)
+        for before in reversed(levels[:-1]):
+            node = next(
+                i
+                for i, row in enumerate(self.words)
+                if _has(before, code ^ 1 << i) and _has(row, code ^ 1 << i)
+            )
+            word.append(node)
+            code ^= 1 << node
+        return word[::-1]
 
     def unreachable_configs(self) -> np.ndarray:
         """Configurations with no incoming change edge from any other config.

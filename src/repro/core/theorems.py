@@ -551,9 +551,7 @@ def check_nonhomogeneous_threshold(
             ca = HeterogeneousCA(space, rules, memory=True)
             ps = PhaseSpace(ca.step_all(), n)
             max_len = max(ps.cycle_lengths())
-            seq_cycles = NondetPhaseSpace(
-                ca.all_node_successors(), n
-            ).has_proper_cycle()
+            seq_cycles = NondetPhaseSpace.from_automaton(ca).has_proper_cycle()
             checked += 1
             key = f"ring{n}_trial{trial}"
             details[key] = {

@@ -117,7 +117,7 @@ def run_fig1_sequential() -> dict[str, object]:
         0b11: (0b10, 0b01),
     }
     trans_ok = all(
-        tuple(int(nps.node_succ[i, c]) for i in range(2)) == exp
+        tuple(dst for _, dst in nps.transitions(c)) == exp
         for c, exp in expected.items()
     )
     facts = {

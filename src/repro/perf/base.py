@@ -29,6 +29,7 @@ __all__ = [
     "BackendUnsupported",
     "SweepBackend",
     "NumpyBackend",
+    "chunk_configs",
     "flip_row_words",
     "sweep_entries",
 ]
@@ -48,6 +49,12 @@ MAX_SWEEP_N = 28
 #: held — the census streams orbit representatives through bounded lane
 #: batches — so this ceiling is set by scan time, not memory.
 MAX_ATTRACTOR_N = 34
+
+
+def chunk_configs(n: int, word: int = 1) -> int:
+    """Configurations a sweep over ``2**n`` puts in one chunk: ``CHUNK``, or
+    the whole space when smaller, padded to a ``word`` of configurations."""
+    return max(word, min(CHUNK, 1 << n))
 
 
 def flip_row_words(n: int) -> int:
@@ -223,4 +230,4 @@ class NumpyBackend(SweepBackend):
         k_max = self.ca._windows.shape[1]
         # configs + ext + gathered inputs (uint8 each), new (uint8),
         # packed output (int64)
-        return CHUNK * ((n + 1) + n * k_max + n + 8)
+        return chunk_configs(n) * ((n + 1) + n * k_max + n + 8)

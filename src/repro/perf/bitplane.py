@@ -30,7 +30,7 @@ import sys
 
 import numpy as np
 
-from repro.perf.base import CHUNK, BackendUnsupported, SweepBackend
+from repro.perf.base import BackendUnsupported, SweepBackend, chunk_configs
 
 __all__ = [
     "BitplaneBackend",
@@ -243,9 +243,11 @@ class BitplaneBackend(SweepBackend):
         nwords = (hi0 - lo0) >> 6
         cache: dict[int, np.ndarray] = {}
         out = np.zeros(hi0 - lo0, dtype=np.int64)
+        bits = np.empty_like(out)  # one int64 temporary at every size
         for i in range(self.ca.n):
-            plane = self._out_plane(i, lo0, nwords, cache)
-            out |= self._unpack(plane).astype(np.int64) << i
+            np.copyto(bits, self._unpack(self._out_plane(i, lo0, nwords, cache)))
+            bits <<= i
+            out |= bits
         return out[lo - lo0 : (hi - lo0)]
 
     def node_flips_range(self, i: int, lo: int, hi: int) -> np.ndarray:
@@ -269,4 +271,4 @@ class BitplaneBackend(SweepBackend):
         n = self.ca.n
         # input-plane cache (<= n+1 planes at chunk/8 bytes), adder/minterm
         # scratch, the packed int64 output and the per-node unpack temps
-        return CHUNK * ((n + 1) // 8 + 4 + 8 + 10)
+        return chunk_configs(n, 64) * ((n + 1) // 8 + 4 + 8 + 10)

@@ -18,7 +18,9 @@ transfer-matrix fixed-point and period-two counts against the oracle; on
 every instance ``differential.functional_graph`` diffs the cycle analysis
 of the oracle's successor array against the reference peel, and
 ``differential.sequential_peel`` the flip-word sink peel and popcounts of
-the oracle's sequential map against SCC and the change-edge formulas.
+the oracle's sequential map against SCC and the change-edge formulas, and
+``differential.sequential_reachability`` its word-set searches against
+the SCC-condensation closure and scalar ``update_node`` replays.
 
 Each check returns a structured violation dict (or ``None``), keyed in
 :data:`CHECKS` so the shrinker and ``finding.json`` replay can re-run a
@@ -290,6 +292,73 @@ def check_sequential_peel(inst: Instance):
     got = {key: summary[key] for key in expected}
     if got != expected:
         return {"vs": "scc_labels", "expected": expected, "got": got}
+    return None
+
+
+def check_sequential_reachability(inst: Instance):
+    """Word-set searches vs the SCC-condensation closure.
+
+    For a few sources of the oracle's sequential map (``n <= 14``, the
+    closure's cap), ``reachable_from`` and ``coreachable_to`` (breadth-first
+    searches that grow sets of flip words) must equal the row and the
+    column of :class:`~repro.core.closure.ReachabilityClosure` (SciPy's SCC
+    labels plus bitsets accumulated along the condensation: no code shared
+    with the searches), ``can_reach`` its entry, and ``shortest_schedule``
+    to a reached configuration must get there through scalar
+    ``update_node`` steps that each change the configuration.
+    """
+    from repro.core.closure import ReachabilityClosure
+    from repro.core.nondet import NondetPhaseSpace
+    from repro.util.bitops import unpack_lanes
+
+    n = inst.ca.n
+    if n > 14:
+        return None
+    nps = NondetPhaseSpace(inst.oracle_node_succ, n)
+    closure = ReachabilityClosure(nps)
+    rng = np.random.default_rng(inst.spec.seed)
+    for code in sorted(set(rng.integers(0, nps.size, 3).tolist())):
+        row = np.flatnonzero(unpack_lanes(closure.reachable_row(code), nps.size))
+        column = np.flatnonzero(
+            [closure.can_reach(a, code) for a in range(nps.size)]
+        )
+        for query, expected in (
+            ("reachable_from", row),
+            ("coreachable_to", column),
+        ):
+            got = getattr(nps, query)(code)
+            if not np.array_equal(got, expected):
+                return {
+                    "vs": "ReachabilityClosure",
+                    "query": query,
+                    "code": code,
+                    "expected": expected[:_MAX_DIFF_CODES].tolist(),
+                    "got": got[:_MAX_DIFF_CODES].tolist(),
+                    "sizes": [int(expected.size), int(got.size)],
+                }
+        other = int(rng.integers(nps.size))
+        if nps.can_reach(code, other) != closure.can_reach(code, other):
+            return {
+                "vs": "ReachabilityClosure",
+                "query": "can_reach",
+                "pair": [code, other],
+                "expected": closure.can_reach(code, other),
+            }
+        target = int(row[rng.integers(row.size)])
+        word = nps.shortest_schedule(code, target)
+        state, effective = int_to_bits(code, n), True
+        for i in word or []:
+            moved = inst.ca.update_node(state, i)
+            effective &= not np.array_equal(moved, state)
+            state = moved
+        if word is None or not effective or int(inst.ca.pack(state)) != target:
+            return {
+                "vs": "update_node",
+                "query": "shortest_schedule",
+                "pair": [code, target],
+                "word": word,
+                "reached": int(inst.ca.pack(state)),
+            }
     return None
 
 
@@ -602,6 +671,7 @@ DIFFERENTIAL_CHECKS = {
     "differential.phase_digest": check_phase_digest,
     "differential.functional_graph": check_functional_graph,
     "differential.sequential_peel": check_sequential_peel,
+    "differential.sequential_reachability": check_sequential_reachability,
     "differential.trip_resume": check_trip_resume,
     "differential.schedule_step": check_schedule_step,
     "differential.attractor_census": check_attractor_census,

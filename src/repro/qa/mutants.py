@@ -165,6 +165,38 @@ def _mutant_sequential_peel_round_short():
     return [(nondet, "sink_peel", sink_peel)]
 
 
+def _mutant_coreach_mask_before_flip():
+    """Backward search masks a level before flipping it.
+
+    A configuration ``x`` is a predecessor of the level ``T`` through node
+    ``i`` when ``x`` is in ``U_i`` and ``x ^ 2**i`` in ``T``: ``U_i &
+    flip_i(T)``.  This one takes ``flip_i(U_i & T)``, the forward step,
+    so ``coreachable_to`` answers ``reachable_from``'s question.  Nothing
+    but the reachability queries runs the search, so only
+    ``differential.sequential_reachability`` (against the closure's
+    column) can see it.
+    """
+
+    def _levels(self, code, forward=True):
+        level = np.zeros_like(self.words[0])
+        level[int(code) >> 6] = np.uint64(1) << np.uint64(int(code) & 63)
+        seen = level.copy()
+        while True:
+            yield seen, level
+            grown = np.zeros_like(seen)
+            for i, row in enumerate(self.words):
+                # BUG: backward steps mask before the flip, like forward ones
+                grown |= flip_lanes(level & row, i)
+            grown |= seen
+            grown ^= seen
+            if not grown.any():
+                return
+            seen |= grown
+            level = grown
+
+    return [(nondet.NondetPhaseSpace, "_levels", _levels)]
+
+
 def _mutant_mc_sampler_tail_drop():
     """Uniform MC sampler silently drops the all-ones tail.
 
@@ -242,6 +274,7 @@ MUTANTS = {
     "necklace-period-drop": _mutant_necklace_period_drop,
     "cycle-mask-round-early": _mutant_cycle_mask_round_early,
     "sequential-peel-round-short": _mutant_sequential_peel_round_short,
+    "coreach-mask-before-flip": _mutant_coreach_mask_before_flip,
     "mc-sampler-tail-drop": _mutant_mc_sampler_tail_drop,
     "mc-sweep-level-merge": _mutant_mc_sweep_level_merge,
     "mc-energy-wrap-drop": _mutant_mc_energy_wrap_drop,

@@ -298,6 +298,58 @@ class TestGovernedTripEquivalence:
         assert p2.value.summary() == exact.summary()
 
 
+class TestSmallSpaceScratch:
+    """Below 2**16 configurations a sweep's one chunk is the whole space,
+    so its scratch, and what the budget projects for it, shrink with it."""
+
+    #: (n, sequential ceiling, parallel ceiling): each under what a full
+    #: 2**16-configuration chunk projects on either backend
+    CEILINGS = [
+        (8, 512 << 10, 512 << 10),
+        (12, 512 << 10, 512 << 10),
+        (14, 1434 << 10, 1843 << 10),
+    ]
+
+    @pytest.mark.parametrize("n, seq_ceiling, par_ceiling", CEILINGS)
+    @pytest.mark.parametrize("backend", SERIAL)
+    def test_small_builds_fit_small_ceilings(
+        self, backend, n, seq_ceiling, par_ceiling
+    ):
+        ca = make_ca(Ring(n), MajorityRule(), backend=backend)
+        assert build_nondet_phase_space(
+            ca, budget=Budget(mem_bytes=seq_ceiling)
+        ).complete
+        assert build_phase_space(ca, budget=Budget(mem_bytes=par_ceiling)).complete
+
+    @pytest.mark.parametrize("n", [4, 8, 12, 14, 16])
+    @pytest.mark.parametrize("rule", [MajorityRule(), XorRule()], ids=str)
+    def test_bitplane_chunk_peak_within_projection(self, rule, n):
+        """One governed chunk of parallel successors or of a flip row
+        peaks within ``transient_bytes()``, give or take the few KiB of
+        Python objects any call allocates.  Below 2**15 configurations
+        NumPy elides no temporary, which n = 14 would show."""
+        import tracemalloc
+
+        from repro.perf.base import flip_row_words
+
+        backend = make_ca(Ring(n), rule, backend="bitplane").backend
+        for out, fill in (
+            (np.empty(1 << n, dtype=np.int64), backend.step_all_range),
+            (
+                np.empty(flip_row_words(n), dtype=np.uint64),
+                lambda lo, hi: backend.node_flips_range(n // 2, lo, hi),
+            ),
+        ):
+            backend.governed_sweep(out, Budget(), fill=fill)  # warm caches
+            tracemalloc.start()
+            try:
+                backend.governed_sweep(out, Budget(), fill=fill)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= backend.transient_bytes() + (16 << 10)
+
+
 class TestSelectionPolicy:
     def test_explicit_name_wins(self):
         ca = make_ca(Ring(9), MajorityRule(), backend="numpy")

@@ -134,6 +134,22 @@ class TestThresholdRepresentation:
         for f in monotone_symmetric_functions(3):
             assert f.is_linear_threshold()
 
+    def test_importing_the_engine_leaves_the_lp_solver_unloaded(self):
+        """Only the LP above needs ``scipy.optimize``, so importing the
+        package and its phase-space modules does not pay to load it."""
+        import subprocess
+        import sys
+
+        code = (
+            "import sys, repro.cli, repro.core.nondet, repro.core.phase_space\n"
+            "print('scipy.optimize' in sys.modules)"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            check=True,
+        )
+        assert out.stdout.strip() == "False"
+
 
 class TestAlgebra:
     def test_negate(self):

@@ -9,6 +9,7 @@ from repro.analysis.cycles import (
     FunctionalGraph,
     cycles_python,
     scc_labels,
+    scc_labels_python,
     strongly_connected_sizes,
 )
 from repro.core.budget import Budget, BudgetExceeded
@@ -244,3 +245,22 @@ class TestSCC:
     def test_rejects_mismatched_lengths(self):
         with pytest.raises(ValueError):
             scc_labels(np.array([0]), np.array([0, 1]), 2)
+
+    @pytest.mark.parametrize("impl", [scc_labels, scc_labels_python])
+    def test_labels_are_reverse_topological(self, impl):
+        """Every edge between two components runs from the higher label to
+        the lower (the order ``ReachabilityClosure`` accumulates in), and
+        the partition is the same for both implementations."""
+        rng = np.random.default_rng(1999)
+        for _ in range(100):
+            nodes = int(rng.integers(1, 60))
+            edges = int(rng.integers(0, 4 * nodes))
+            rows = rng.integers(0, nodes, edges)
+            cols = rng.integers(0, nodes, edges)
+            n_comp, labels = impl(rows, cols, nodes)
+            assert sorted(set(labels.tolist())) == list(range(n_comp))
+            cross = labels[rows] != labels[cols]
+            assert (labels[rows][cross] > labels[cols][cross]).all()
+            _, ref = scc_labels(rows, cols, nodes)
+            pairs = set(zip(labels.tolist(), ref.tolist()))
+            assert len(pairs) == n_comp == len(set(ref.tolist()))

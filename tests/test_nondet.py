@@ -16,6 +16,7 @@ from repro.core.nondet import (
 from repro.core.phase_space import PhaseSpace
 from repro.core.rules import MajorityRule, SimpleThresholdRule, WolframRule, XorRule
 from repro.spaces.line import Line, Ring
+from repro.util.bitops import flip_successors
 
 
 @pytest.fixture(scope="module")
@@ -74,8 +75,8 @@ class TestFigure1bStructure:
         witness = xor2_nps.find_two_cycle()
         assert witness is not None
         a, i, b, j = witness
-        assert int(xor2_nps.node_succ[i, a]) == b
-        assert int(xor2_nps.node_succ[j, b]) == a
+        assert xor2_nps.transitions(a)[i] == (i, b)
+        assert xor2_nps.transitions(b)[j] == (j, a)
 
 
 class TestThresholdSequential:
@@ -101,8 +102,7 @@ class TestThresholdSequential:
         # From the alternating config, after any effective update the
         # config is never seen again (cycle-freeness in action).
         alt = 0b010101
-        for node in range(6):
-            nxt = int(majority6_nps.node_succ[node, alt])
+        for _, nxt in majority6_nps.transitions(alt):
             if nxt != alt:
                 assert not majority6_nps.can_reach(nxt, alt)
 
@@ -126,6 +126,73 @@ class TestReachability:
     def test_fixed_points_reach_only_themselves(self, majority6_nps):
         for fp in majority6_nps.fixed_points.tolist():
             assert majority6_nps.reachable_from(fp).tolist() == [fp]
+
+    @pytest.mark.parametrize("n", [*range(3, 13), 16])
+    def test_majority_ring_reaches_zero_from_no_adjacent_ones(self, n):
+        """On a MAJORITY ring two adjacent 1s never update, and an isolated
+        1 always can: ``0`` is reached exactly from the configurations
+        with no two cyclically adjacent 1s (the Lucas number L(n) of
+        them), each in one effective update per 1."""
+        nps = NondetPhaseSpace.from_automaton(
+            CellularAutomaton(Ring(n), MajorityRule())
+        )
+        codes = np.arange(1 << n)
+        rotated = (codes >> 1) | ((codes & 1) << (n - 1))
+        expected = codes[(codes & rotated) == 0]
+        lucas = [2, 1]
+        while len(lucas) <= n:
+            lucas.append(lucas[-1] + lucas[-2])
+        assert expected.size == lucas[n]
+        np.testing.assert_array_equal(nps.coreachable_to(0), expected)
+        for x in expected[:: max(1, expected.size // 16)].tolist():
+            assert len(nps.shortest_schedule(x, 0)) == bin(x).count("1")
+        assert nps.can_reach(0b11, 0) is False
+        assert nps.shortest_schedule(0b11, 0) is None
+
+    def test_rejects_codes_out_of_range(self, majority6_nps):
+        for query in (
+            lambda: majority6_nps.reachable_from(64),
+            lambda: majority6_nps.coreachable_to(-1),
+            lambda: majority6_nps.can_reach(0, 64),
+            lambda: majority6_nps.shortest_schedule(64, 0),
+        ):
+            with pytest.raises(ValueError, match="out of range"):
+                query()
+
+    def test_schedules_are_shortest_and_deterministic(self):
+        """A schedule is as long as the breadth-first distance, replays
+        through effective ``update_node`` steps, and is the one the walk
+        back from the target picks by taking, at each step, the smallest
+        node whose update enters it from one step nearer the source."""
+        import networkx as nx
+
+        ca = CellularAutomaton(Ring(7), WolframRule(110))
+        nps = NondetPhaseSpace.from_automaton(ca)
+        graph = nps.to_networkx()
+        for a in range(0, nps.size, 5):
+            dist = nx.single_source_shortest_path_length(graph, a)
+            for b in range(nps.size):
+                word = nps.shortest_schedule(a, b)
+                if b not in dist:
+                    assert word is None
+                    continue
+                expected, code = [], b
+                while code != a:
+                    node = min(
+                        i
+                        for i in range(ca.n)
+                        if dist.get(code ^ (1 << i)) == dist[code] - 1
+                        and (i, code) in nps.transitions(code ^ (1 << i))
+                    )
+                    expected.append(node)
+                    code ^= 1 << node
+                assert word == expected[::-1]
+                state = ca.unpack(a)
+                for i in word:
+                    nxt = ca.update_node(state, i)
+                    assert not np.array_equal(nxt, state)
+                    state = nxt
+                assert ca.pack(state) == b
 
 
 class TestExports:
@@ -299,6 +366,35 @@ class TestAnalysisMemory:
         assert peak <= NONDET_PEEL_ROWS * words[0].nbytes
 
 
+class TestQueryMemory:
+    @pytest.mark.parametrize(
+        "rule, source",
+        [(MajorityRule(), int("01" * 8, 2)), (XorRule(), 1)],
+        ids=["majority", "xor"],
+    )
+    def test_searches_hold_at_most_six_word_rows(self, rule, source):
+        """Besides the flip words a search holds ``seen``, two levels, a
+        masked copy, a flipped copy and ``flip_lanes``' temporary: no
+        change edge and no per-configuration array."""
+        import tracemalloc
+
+        nps = NondetPhaseSpace.from_automaton(CellularAutomaton(Ring(16), rule))
+        reached = set(nps.reachable_from(source).tolist())
+        target = next(c for c in range(nps.size) if c not in reached)
+        for search in (
+            lambda: nps.can_reach(source, target),
+            lambda: [None for _ in nps._levels(source)],
+            lambda: [None for _ in nps._levels(target, forward=False)],
+        ):
+            tracemalloc.start()
+            try:
+                search()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 6 * nps.words[0].nbytes + 4096
+
+
 def _scalar_node_successors(ca) -> np.ndarray:
     """Node successors from the scalar ``step_naive``: updating node ``i``
     alone takes bit ``i`` of the parallel image."""
@@ -389,7 +485,9 @@ class TestFlipFormat:
             nps = build_nondet_phase_space(ca, budget=Budget()).value
             assert nps.words.dtype == np.uint64, what
             np.testing.assert_array_equal(nps.words, want, what)
-            np.testing.assert_array_equal(nps.node_succ, node_succ, what)
+            np.testing.assert_array_equal(
+                flip_successors(nps.words), node_succ, what
+            )
             for attr in ("fixed_points", "pseudo_fixed_points"):
                 np.testing.assert_array_equal(
                     getattr(nps, attr), ref[attr], what
