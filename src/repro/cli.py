@@ -774,7 +774,10 @@ def _cmd_simulate(args: argparse.Namespace, out) -> int:
 
 def _load_resume(resume_dir: str | None, out) -> dict | None:
     """The frontier saved in ``resume_dir`` (announced on ``out``), or None."""
-    frontier = load_frontier(resume_dir) if resume_dir else None
+    try:
+        frontier = load_frontier(resume_dir) if resume_dir else None
+    except ValueError as err:  # a frontier no build resumes from
+        raise SystemExit(str(err)) from err
     if frontier is not None:
         print(
             f"resuming from {resume_dir} "
@@ -799,10 +802,10 @@ def _truncated(partial, resume_dir: str | None, out) -> int:
                 file=out,
             )
         else:
-            # Every row is built, and a resume charges its disk-backed rows
-            # nothing: only a ceiling that holds the analysis can finish.
+            # The sweep is complete, and a resume charges its disk-backed
+            # array nothing: only a ceiling that holds the analysis finishes.
             print(
-                f"  frontier saved — every row is built; the analysis needs "
+                f"  frontier saved — the sweep is complete; the analysis needs "
                 f"{format_bytes(need)}, so rerun with --resume {resume_dir} "
                 f"--budget-mem {-(-need // (1 << 20))}M or more to finish",
                 file=out,

@@ -33,6 +33,7 @@ from repro.contracts.base import (
     load_json_object,
 )
 from repro.core import durable
+from repro.harness.checkpoint import ROW_BY_ROW_FRONTIER
 
 __all__ = [
     "JsonContract",
@@ -155,6 +156,10 @@ class FrontierMetaContract(JsonContract):
     required = {"n": int}
 
     def finish(self, path: str | Path, obj: dict) -> FileCheck:
+        if "next_lo" not in obj and "counts" not in obj:
+            return self.truncated(
+                path, ROW_BY_ROW_FRONTIER, repair="quarantine-frontier"
+            )
         array_path = Path(path).with_name("frontier_succ.npy")
         stamp = obj.get("array")
         if not isinstance(stamp, dict):
@@ -229,8 +234,8 @@ def _verify_array_stamp(array_path: Path, stamp: dict) -> str | None:
     except (OSError, ValueError) as exc:
         return f"unloadable: {exc}"
     rows = int(stamp.get("rows", 0))
-    if rows > succ.shape[0]:
-        return f"stamped rows {rows} exceed array length {succ.shape[0]}"
+    if rows > succ.shape[-1]:
+        return f"stamped rows {rows} exceed array length {succ.shape[-1]}"
     crc = stamp.get("crc32")
     if crc is not None and durable.crc32_of_array_prefix(succ, rows) != crc:
         return "prefix CRC mismatch"

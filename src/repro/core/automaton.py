@@ -199,12 +199,6 @@ class CellularAutomaton:
 
     # -- whole-phase-space sweeps ----------------------------------------------
 
-    def _config_chunk(self, lo: int, hi: int) -> np.ndarray:
-        codes = np.arange(lo, hi, dtype=np.int64)
-        return ((codes[:, None] >> np.arange(self.n, dtype=np.int64)) & 1).astype(
-            np.uint8
-        )
-
     def step_all_range(self, lo: int, hi: int) -> np.ndarray:
         """Packed synchronous successors of configurations ``lo .. hi - 1``.
 
@@ -213,14 +207,6 @@ class CellularAutomaton:
         directly so it can consult its budget between chunks.
         """
         return self.backend.step_all_range(lo, hi)
-
-    def sweep_transient_bytes(self) -> int:
-        """Peak transient bytes of one chunk of a whole-space sweep.
-
-        The backend's per-chunk scratch — what a budget must have headroom
-        for *besides* the persistent successor array.
-        """
-        return self.backend.transient_bytes()
 
     def _check_sweep_size(self, what: str) -> int:
         if self.n > MAX_SWEEP_N:
@@ -253,6 +239,15 @@ class CellularAutomaton:
         """
         return self._sweep("step_all", self.step_all_range)
 
+    def flips(self) -> np.ndarray:
+        """Every node's ``(n, flip_row_words(n))`` ``uint64`` flip words:
+        bit ``c`` of row ``i`` is set iff updating node ``i`` changes
+        configuration ``c``.  One sweep, under the ambient budget the way
+        :meth:`step_all` is."""
+        self._check_sweep_size("flips")
+        words = np.empty((self.n, flip_row_words(self.n)), dtype=np.uint64)
+        return self._sweep("flips", self.backend.flips_range, out=words)
+
     def node_successors(self, i: int, budget=None) -> np.ndarray:
         """Packed successor of every configuration under updating node ``i``.
 
@@ -260,6 +255,8 @@ class CellularAutomaton:
         ``{succ_i}`` is the full nondeterministic sequential transition
         relation of the SCA.  ``budget`` (else the ambient one) is consulted
         between chunks, wall-clock/cancellation only, like :meth:`step_all`.
+        Each call sweeps every node's flip words: to compose many nodes'
+        maps, take the words once from :meth:`flips`.
         """
         check_node_index(i, self.n)
         backend = self.backend
@@ -269,25 +266,7 @@ class CellularAutomaton:
             budget,
         )
 
-    def node_flips(self, i: int, out: np.ndarray, budget=None) -> np.ndarray:
-        """Fill the ``uint64`` flip words ``out`` (:func:`flip_row_words`
-        of them): bit ``c`` is set iff updating node ``i`` changes
-        configuration ``c``.  :meth:`node_successors` in one bit per
-        entry, swept under ``budget`` the same way."""
-        check_node_index(i, self.n)
-        backend = self.backend
-        return self._sweep(
-            "node_flips",
-            lambda lo, hi: backend.node_flips_range(i, lo, hi),
-            budget,
-            out,
-        )
-
     def all_node_successors(self) -> np.ndarray:
         """Matrix of shape ``(n, 2**n)``: row ``i`` is :meth:`node_successors(i)`,
-        encoded at once from the ``n`` governed :meth:`node_flips` rows."""
-        self._check_sweep_size("all_node_successors")
-        words = np.empty((self.n, flip_row_words(self.n)), dtype=np.uint64)
-        for i in range(self.n):
-            self.node_flips(i, words[i])
-        return flip_successors(words)
+        encoded at once from :meth:`flips`."""
+        return flip_successors(self.flips())

@@ -28,6 +28,7 @@ from repro.core.phase_space import PhaseSpace
 from repro.core.rules import MajorityRule
 from repro.core.theorems import TheoremReport
 from repro.spaces.line import Ring
+from repro.util.bitops import xor_flip
 
 __all__ = [
     "block_sequential_map",
@@ -45,22 +46,19 @@ def block_sequential_map(
 
     Within a block, every node reads the same pre-block configuration
     (logical simultaneity); successive blocks see the updates of earlier
-    ones.  Implemented by composing vectorized per-node successor maps,
-    with all of a block's new bits derived from the block's common source.
+    ones.  Composed from the nodes' flip words (one sweep): ``x ^=
+    flip_i(source) << i`` per node of a block, from its pre-block source.
     """
     n = ca.n
     flat = sorted(i for block in partition for i in block)
     if flat != list(range(n)):
         raise ValueError(f"blocks {partition} do not partition 0..{n - 1}")
+    flips = ca.flips()
     result = np.arange(1 << n, dtype=np.int64)
     for block in partition:
-        source = result
-        out = source.copy()
+        source = result.copy()
         for i in block:
-            succ_i = ca.node_successors(i)
-            bit = (succ_i[source] >> np.int64(i)) & 1
-            out = (out & ~(np.int64(1) << np.int64(i))) | (bit << np.int64(i))
-        result = out
+            xor_flip(result, flips[i], i, source)
     return result
 
 

@@ -347,16 +347,17 @@ def decode_jsonl_line(line: str) -> tuple[dict | None, str]:
 # -- memmap prefix checksums ---------------------------------------------------
 
 
-def crc32_of_array_prefix(array, rows: int, chunk_rows: int = 1 << 20) -> str:
-    """CRC32 (hex) over the first ``rows`` rows of a (mem)mapped array.
+def crc32_of_array_prefix(array, prefix: int, chunk_rows: int = 1 << 20) -> str:
+    """CRC32 (hex) over the first ``prefix`` entries of every row (along
+    the last axis; a 1-D array is one row) of a (mem)mapped array.
 
     Chunked so a multi-hundred-MB frontier never materialises in RAM;
     the resulting stamp goes into the atomically-written metadata that
     trails the array, giving resumed builds torn-write detection.
     """
     crc = 0
-    for lo in range(0, int(rows), chunk_rows):
-        hi = min(int(rows), lo + chunk_rows)
-        chunk = array[lo:hi]
-        crc = zlib.crc32(chunk.tobytes() if hasattr(chunk, "tobytes") else bytes(chunk), crc)
+    for row in array.reshape(-1, array.shape[-1]):
+        for lo in range(0, int(prefix), chunk_rows):
+            hi = min(int(prefix), lo + chunk_rows)
+            crc = zlib.crc32(row[lo:hi].tobytes(), crc)
     return f"{crc & 0xFFFFFFFF:08x}"

@@ -119,8 +119,8 @@ def _has(words: np.ndarray, code: int) -> bool:
 class NondetPhaseSpace:
     """The full sequential (one-node-at-a-time) phase space of an automaton.
 
-    ``flips`` is the ``(n, max(1, 2**n / 64))`` ``uint64`` flip words (rows
-    of :meth:`CellularAutomaton.node_flips`), or an ``(n, 2**n)`` bool flip
+    ``flips`` is the ``(n, max(1, 2**n / 64))`` ``uint64`` flip words
+    (:meth:`CellularAutomaton.flips`), or an ``(n, 2**n)`` bool flip
     matrix or integer successor matrix (rows of
     :meth:`CellularAutomaton.node_successors`), packed once each integer
     row ``i`` is checked to change no bit but bit ``i``.
@@ -429,32 +429,29 @@ def build_nondet_phase_space(
     budget: Budget | None = None,
     frontier: dict[str, object] | None = None,
 ) -> Partial[NondetPhaseSpace]:
-    """Governed sequential phase-space build, resumable at row granularity.
+    """Governed sequential phase-space build, resumable at chunk granularity.
 
     The ``(n, max(1, 2**n / 64))`` ``uint64`` flip words are filled in
-    place one node row at a time (:meth:`CellularAutomaton.node_flips`);
-    the budget is consulted before each row (projecting its bit per
-    configuration), and its cancel token and deadline inside the row's
-    chunked sweep.  Each row is charged once, here, so a states cap stops
-    every backend at the same row.  After the last row the analysis runs
-    and is charged once: the sink peel (:func:`sink_peel`, its
-    :data:`~repro.core.budget.NONDET_PEEL_ROWS` word rows projected first,
-    or a row's sweep scratch where that is larger, as the build's peak is
-    the larger of the two; the budget polled once per round) decides
-    whether the space has a proper cycle, and only a cyclic space is also
-    charged for its SCC, :data:`~repro.core.budget.NONDET_EDGE_BYTES` per
-    change edge plus :data:`~repro.core.budget.NONDET_CONFIG_BYTES` per
-    configuration.  On a trip the returned
-    :class:`~repro.core.budget.Partial` carries a ``frontier`` with the
-    completed rows; resumed frontiers are disk-backed memmaps whose rows
-    are charged nothing, exactly like
-    :func:`repro.core.phase_space.build_phase_space`.  When the analysis
-    charge is what trips the memory ceiling, the stats name the bytes it
-    needs (``analysis_bytes``).  A frontier whose rows are not flip words
-    (bool flip rows or int64 successors) is refused.
+    place by one governed sweep, every node's words of a chunk at once,
+    as :func:`repro.core.phase_space.build_phase_space` fills its map: a
+    chunk of ``k`` configurations is ``n * k`` states and ``n * k / 8``
+    bytes, so a states cap stops at the same chunk on every backend.  Then
+    the analysis is charged once: the sink peel (:func:`sink_peel`, its
+    :data:`~repro.core.budget.NONDET_PEEL_ROWS` word rows or the sweep's
+    scratch, whichever is larger, projected first; the budget polled once
+    per round) decides whether the space has a proper cycle, and only a
+    cyclic space is also charged for its SCC,
+    :data:`~repro.core.budget.NONDET_EDGE_BYTES` per change edge plus
+    :data:`~repro.core.budget.NONDET_CONFIG_BYTES` per configuration.  On
+    a trip the returned :class:`~repro.core.budget.Partial` carries a
+    ``frontier`` with the words below ``next_lo``; a resumed frontier's
+    words are a disk-backed memmap, charged nothing.  When the analysis
+    charge trips the memory ceiling, the stats name the bytes it needs
+    (``analysis_bytes``).  A frontier whose array is not flip words (bool
+    flip rows or int64 successors) is refused.
 
     ``explored``/``total`` count (configuration, node) transition units,
-    i.e. ``rows_done * 2**n`` of ``n * 2**n``.
+    i.e. ``n * next_lo`` of ``n * 2**n``.
     """
     budget = resolve_budget(budget)
     n = ca.n
@@ -464,8 +461,6 @@ def build_nondet_phase_space(
         )
     size, nwords = 1 << n, flip_row_words(n)
     total = n * size
-    from repro.harness import faults
-
     if frontier is not None:
         check_frontier(frontier, "nondet", n, ca.describe())
         words = frontier["succ"]
@@ -475,62 +470,53 @@ def build_nondet_phase_space(
                 f"{words.shape[-1]} entries, not {nwords} uint64 flip words "
                 f"per row; it cannot be resumed"
             )
-        start_row = int(frontier["next_row"])
+        start = int(frontier["next_lo"])
     else:
         words = np.empty((n, nwords), dtype=np.uint64)
-        start_row = 0
-    row_bytes = words[0].nbytes
-    per_row = 0 if isinstance(words, np.memmap) else row_bytes
-    transient = ca.sweep_transient_bytes()
-
-    def _frontier(next_row: int) -> dict[str, object]:
-        return {
-            "kind": "nondet",
-            "n": n,
-            "automaton": ca.describe(),
-            "total": total,
-            "next_row": next_row,
-            "succ": words,
-        }
+        start = 0
+    # one flip bit per (configuration, node), nothing for a disk-backed resume
+    per_state = 0 if isinstance(words, np.memmap) else 1 / 8
 
     def _truncated(
-        reason: str, rows_done: int, analysis: int | None = None
+        reason: str, next_lo: int, analysis: int | None = None
     ) -> Partial[NondetPhaseSpace]:
-        stats = {"rows_done": rows_done, "rows_total": n}
+        stats = {}
         if analysis is not None and reason.startswith("memory"):
             stats["analysis_bytes"] = analysis
         return Partial.truncated(
             reason,
-            explored=rows_done * size,
+            explored=n * next_lo,
             total=total,
             stats=stats,
-            frontier=_frontier(rows_done),
+            frontier={
+                "kind": "nondet",
+                "n": n,
+                "automaton": ca.describe(),
+                "total": total,
+                "next_lo": next_lo,
+                "succ": words,
+            },
         )
 
     with span(
         "nondet.build", n=n, configs=size, budget=budget.describe()
     ) as build_span:
-        with span("nondet.node_successors", n=n, resumed_from=start_row):
-            for i in range(start_row, n):
-                reason = budget.over(pending_bytes=transient + per_row)
-                if reason is not None:
-                    build_span.set(truncated=reason, rows_done=i)
-                    return _truncated(reason, i)
-                faults.inject("nondet.row")
-                try:
-                    ca.node_flips(i, words[i], budget=budget)
-                except BudgetExceeded as err:
-                    # The row's chunked sweep tripped mid-row; resume
-                    # granularity is whole rows, so the partial row is
-                    # discarded and the frontier restarts at row ``i``.
-                    build_span.set(truncated=err.reason, rows_done=i)
-                    return _truncated(err.reason, i)
-                budget.charge(states=size, bytes_=per_row)
+        with span("nondet.node_successors", n=n, resumed_from=start):
+            next_lo, reason = ca.backend.governed_sweep(
+                words,
+                budget,
+                fill=ca.backend.flips_range,
+                start=start,
+                per_state=per_state,
+            )
+        if reason is not None:
+            build_span.set(truncated=reason, explored=n * next_lo)
+            return _truncated(reason, next_lo)
         nps = NondetPhaseSpace(words, n)
-        # The build's peak beside its rows is a row's sweep scratch (each
-        # row's check projected it) or the peel's word rows, whichever is
-        # larger: charged here, with a cyclic space's SCC on top.
-        analysis = max(transient, NONDET_PEEL_ROWS * row_bytes)
+        # The build's peak beside its words is the sweep's scratch (each
+        # chunk's check projected it) or the peel's word rows, whichever
+        # is larger: charged here, with a cyclic space's SCC on top.
+        analysis = max(ca.backend.transient_bytes(), NONDET_PEEL_ROWS * words[0].nbytes)
         reason = budget.over(pending_bytes=analysis)
         if reason is None:
             try:
@@ -541,10 +527,10 @@ def build_nondet_phase_space(
                     )
                     reason = budget.over(pending_bytes=analysis)
             except BudgetExceeded as err:
-                build_span.set(truncated=err.reason, rows_done=n)
-                return _truncated(err.reason, n)
+                build_span.set(truncated=err.reason, explored=total)
+                return _truncated(err.reason, size)
         if reason is not None:
-            build_span.set(truncated=reason, rows_done=n)
-            return _truncated(reason, n, analysis)
+            build_span.set(truncated=reason, explored=total)
+            return _truncated(reason, size, analysis)
         budget.charge(bytes_=analysis)
         return Partial.done(nps, explored=total, total=total)

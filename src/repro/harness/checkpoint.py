@@ -39,6 +39,7 @@ import numpy as np
 
 from repro.core import durable
 from repro.harness import faults
+from repro.perf.base import sweep_entries
 
 __all__ = [
     "Checkpoint",
@@ -61,6 +62,11 @@ FRONTIER_ARRAY_NAME = "frontier_succ.npy"
 #: :mod:`repro.contracts`)
 SNAPSHOT_SCHEMA = "repro-checkpoint/1"
 FRONTIER_SCHEMA = "repro-frontier/1"
+
+#: why load_frontier and ``repro doctor`` refuse a frontier with no next_lo
+ROW_BY_ROW_FRONTIER = (
+    "a sequential frontier saved row by row, by an older version, cannot be resumed"
+)
 
 durable.register_write_site(
     "checkpoint.journal", "append one journal.jsonl record (CRC-framed)"
@@ -194,25 +200,23 @@ def save_frontier(directory: str | os.PathLike[str], partial) -> Path:
         in_place = isinstance(succ, np.memmap) and succ.filename is not None and (
             Path(succ.filename).resolve() == array_path.resolve()
         )
-        if frontier.get("kind") == "nondet":
-            rows = int(frontier["next_row"])
-        else:
-            rows = int(frontier["next_lo"])
+        # the explored prefix: every row's entries below next_lo
+        k = sweep_entries(succ.dtype, 0, int(frontier["next_lo"])).stop
         if in_place:
             succ.flush()
-            prefix_crc = durable.crc32_of_array_prefix(succ, rows)
+            prefix_crc = durable.crc32_of_array_prefix(succ, k)
         else:
             mm = np.lib.format.open_memmap(
                 array_path, mode="w+", dtype=succ.dtype, shape=succ.shape
             )
-            mm[:rows] = succ[:rows]
+            mm[..., :k] = succ[..., :k]
             mm.flush()
-            prefix_crc = durable.crc32_of_array_prefix(mm, rows)
+            prefix_crc = durable.crc32_of_array_prefix(mm, k)
             del mm
         faults.inject("checkpoint.frontier_array")
         meta["array"] = {
             "crc32": prefix_crc,
-            "rows": rows,
+            "rows": k,
             "nbytes": os.path.getsize(array_path),
         }
     return durable.durable_write_json(
@@ -234,6 +238,8 @@ def load_frontier(directory: str | os.PathLike[str]) -> dict | None:
     ``frontier_succ.npy`` — or one the metadata predates — makes this
     return ``None`` with a :class:`UserWarning`, so the caller falls
     back to re-enumeration instead of silently resuming from garbage.
+    A frontier saved row by row (no ``next_lo``) raises a one-line
+    :class:`ValueError`: no build resumes from it.
     """
     directory = Path(directory)
     path = directory / FRONTIER_NAME
@@ -246,6 +252,8 @@ def load_frontier(directory: str | os.PathLike[str]) -> dict | None:
         # Array-less counts-kernel frontier: the metadata is the whole
         # checkpoint.
         return meta
+    if "next_lo" not in meta:
+        raise ValueError(f"{path}: {ROW_BY_ROW_FRONTIER}")
     array_path = directory / FRONTIER_ARRAY_NAME
     try:
         succ = np.load(array_path, mmap_mode="r+")
@@ -267,7 +275,7 @@ def load_frontier(directory: str | os.PathLike[str]) -> dict | None:
         crc = integrity.get("crc32")
         actual_nbytes = os.path.getsize(array_path)
         ok = (
-            rows <= succ.shape[0]
+            rows <= succ.shape[-1]
             and (nbytes is None or int(nbytes) == actual_nbytes)
             and (crc is None or durable.crc32_of_array_prefix(succ, rows) == crc)
         )

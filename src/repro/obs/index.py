@@ -427,8 +427,7 @@ class RunIndex:
             finished=_iso(saved),
             extra={
                 k: meta.get(k)
-                for k in ("kind", "n", "reason", "explored", "next_lo",
-                          "next_row", "mode")
+                for k in ("kind", "n", "reason", "explored", "next_lo", "mode")
                 if meta.get(k) is not None
             },
         )

@@ -1,14 +1,15 @@
 """Sweep-backend protocol and the generic ``numpy`` reference backend.
 
-A *sweep backend* computes whole-phase-space maps — the packed parallel
-successor of every configuration in a range, or where a single-node
-(sequential) update changes it — for one bound automaton.  Every successor
-sweep of the engine (:class:`repro.core.automaton.CellularAutomaton`)
-and of the governed builders in :mod:`repro.core.phase_space` and
-:mod:`repro.core.nondet` runs through one loop,
-:meth:`SweepBackend.governed_sweep`, which the sharded backend overrides:
-budgets, frontiers and resume semantics are identical whichever kernel
-does the arithmetic.
+A *sweep backend* computes whole-phase-space maps for one bound
+automaton from one range kernel, :meth:`SweepBackend.flips_range`: where
+updating each node alone changes each configuration of a range (the
+sequential map), from which the parallel map ``x ^ sum_i flip_i(x) << i``
+is encoded once, here.  Every sweep of the engine
+(:class:`repro.core.automaton.CellularAutomaton`) and of the governed
+builders in :mod:`repro.core.phase_space` and :mod:`repro.core.nondet`
+runs through one loop, :meth:`SweepBackend.governed_sweep`, which the
+sharded backend overrides: budgets, frontiers and resume semantics are
+identical whichever kernel does the arithmetic.
 
 Backends are duck-typed against the automaton: they read ``ca.n``,
 ``ca._windows`` / ``ca._lengths`` (the padded window matrix, sentinel
@@ -18,9 +19,12 @@ which both the homogeneous and the heterogeneous engines provide.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from repro.util.bitops import pack_lanes, unpack_lanes
+from repro.core.rules import SymmetricRule
+from repro.util.bitops import unpack_lanes
 
 __all__ = [
     "CHUNK",
@@ -51,10 +55,10 @@ MAX_SWEEP_N = 28
 MAX_ATTRACTOR_N = 34
 
 
-def chunk_configs(n: int, word: int = 1) -> int:
+def chunk_configs(n: int) -> int:
     """Configurations a sweep over ``2**n`` puts in one chunk: ``CHUNK``, or
-    the whole space when smaller, padded to a ``word`` of configurations."""
-    return max(word, min(CHUNK, 1 << n))
+    the whole space when smaller, padded to one 64-configuration word."""
+    return max(64, min(CHUNK, 1 << n))
 
 
 def flip_row_words(n: int) -> int:
@@ -88,10 +92,11 @@ class BackendUnsupported(ValueError):
 class SweepBackend:
     """One compiled sweep strategy bound to one automaton.
 
-    Subclasses implement the two range kernels; ``supports`` is a
-    classmethod returning ``None`` when the backend can handle the
-    automaton and a human-readable reason when it cannot (the ``auto``
-    policy falls through to the next backend on a reason).
+    Subclasses implement the one range kernel, :meth:`flips_range`, and
+    :meth:`transient_bytes`; ``supports`` is a classmethod returning
+    ``None`` when the backend can handle the automaton and a
+    human-readable reason when it cannot (the ``auto`` policy falls
+    through to the next backend on a reason).
     """
 
     name = "?"
@@ -119,34 +124,49 @@ class SweepBackend:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}({self.ca.describe()})"
 
-    # -- range kernels ---------------------------------------------------------
+    # -- the range kernel ------------------------------------------------------
 
-    def step_all_range(self, lo: int, hi: int) -> np.ndarray:
-        """Packed synchronous successors of configurations ``lo .. hi-1``."""
-        raise NotImplementedError
+    def flips_range(self, lo: int, hi: int) -> np.ndarray:
+        """Every node's flip words for configurations ``lo .. hi - 1``: an
+        ``(n, words)`` ``uint64`` array whose row ``i`` has bit ``c - lo``
+        set where updating only node ``i`` changes configuration ``c``.
 
-    def node_flips_range(self, i: int, lo: int, hi: int) -> np.ndarray:
-        """Flip words of the range: bit ``c - lo`` of the ``uint64`` words
-        is set where updating only node ``i`` changes configuration ``c``.
-
-        ``lo`` is a multiple of 64, and so is ``hi`` unless it ends a
-        space smaller than one word, whose padding bits are zero.  A
-        single-node update changes at most bit ``i``, so this is the whole
+        ``lo`` is a multiple of 64; a range that does not end on a word
+        leaves the padding bits of its last word zero.  A single-node
+        update changes at most bit ``i``, so row ``i`` is the whole
         sequential map of node ``i`` on the range.
         """
         raise NotImplementedError
-
-    def node_successors_range(self, i: int, lo: int, hi: int) -> np.ndarray:
-        """Packed successors under updating only node ``i``, for the range."""
-        codes = np.arange(lo, hi, dtype=np.int64)
-        flips = unpack_lanes(self.node_flips_range(i, lo, hi), hi - lo)
-        return codes ^ (flips.astype(np.int64) << i)
 
     def transient_bytes(self) -> int:
         """Peak per-chunk scratch bytes (for deterministic budget charging)."""
         raise NotImplementedError
 
-    # -- the successor loop ----------------------------------------------------
+    # -- the maps encoded from it ----------------------------------------------
+
+    def _encode(self, lo: int, hi: int, nodes) -> np.ndarray:
+        """``c ^ sum_i flip_i(c) << i`` over ``nodes`` for ``lo <= c < hi``,
+        from the flip words of the range widened down to a word."""
+        lo0 = lo & ~63
+        flips = self.flips_range(lo0, hi)
+        out = np.arange(lo0, hi, dtype=np.int64)
+        bits = np.empty_like(out)  # one int64 temporary at every size
+        for i in nodes:
+            np.copyto(bits, unpack_lanes(flips[i], hi - lo0))
+            bits <<= i
+            out ^= bits
+        return out[lo - lo0 :]
+
+    def step_all_range(self, lo: int, hi: int) -> np.ndarray:
+        """Packed synchronous successors of configurations ``lo .. hi-1``."""
+        return self._encode(lo, hi, range(self.ca.n))
+
+    def node_successors_range(self, i: int, lo: int, hi: int) -> np.ndarray:
+        """Packed successors under updating only node ``i``, for the range
+        (every node's flip words are swept to encode them)."""
+        return self._encode(lo, hi, (i,))
+
+    # -- the sweep loop --------------------------------------------------------
 
     def governed_sweep(
         self,
@@ -155,14 +175,16 @@ class SweepBackend:
         *,
         fill,
         start: int = 0,
-        per_state: int = 0,
+        per_state: float = 0,
     ) -> tuple[int, str | None]:
         """Fill ``out`` from configuration ``start`` on with ``fill(lo, hi)``,
-        one ``CHUNK`` at a time, at the entries :func:`sweep_entries` names.
+        one ``CHUNK`` at a time, at ``out[..., sweep_entries(...)]``.
 
+        Every configuration counts one state per row of ``out`` (the
+        sequential flip words have ``n`` rows, a successor array one).
         Before each chunk the budget must have room for this backend's
-        scratch plus ``per_state`` bytes per configuration; the chunk is
-        then filled and charged as states (and those bytes).  Returns
+        scratch plus ``per_state`` bytes per state; the chunk is then
+        filled and charged as states (and those bytes).  Returns
         ``(next_lo, reason)``: ``reason`` is None when the sweep completed,
         else the trip reason, and ``next_lo`` is the first unfilled
         configuration — the honest resume point.
@@ -172,16 +194,18 @@ class SweepBackend:
         from repro.harness import faults
 
         total = 1 << self.ca.n
+        rows = math.prod(out.shape[:-1])
         transient = self.transient_bytes()
         for lo in range(start, total, CHUNK):
             hi = min(lo + CHUNK, total)
-            pending = transient + per_state * (hi - lo)
-            reason = budget.over(pending_bytes=pending)
+            states = rows * (hi - lo)
+            nbytes = math.ceil(per_state * states)
+            reason = budget.over(pending_bytes=transient + nbytes)
             if reason is not None:
                 return lo, reason
             faults.inject("sweep.chunk")
-            out[sweep_entries(out.dtype, lo, hi)] = fill(lo, hi)
-            budget.charge(states=hi - lo, bytes_=per_state * (hi - lo))
+            out[..., sweep_entries(out.dtype, lo, hi)] = fill(lo, hi)
+            budget.charge(states=states, bytes_=nbytes)
         return total, None
 
 
@@ -196,38 +220,30 @@ class NumpyBackend(SweepBackend):
 
     name = "numpy"
 
-    def _ext(self, lo: int, hi: int) -> np.ndarray:
-        """Bit-unpacked configs with the trailing quiescent slot appended."""
-        configs = self.ca._config_chunk(lo, hi)
-        return np.concatenate(
-            [configs, np.zeros((hi - lo, 1), dtype=np.uint8)], axis=1
-        )
-
-    def step_all_range(self, lo: int, hi: int) -> np.ndarray:
+    def flips_range(self, lo: int, hi: int) -> np.ndarray:
         ca = self.ca
-        ext = self._ext(lo, hi)
-        out = np.zeros(hi - lo, dtype=np.int64)
+        # the range as rows of bits, with the trailing quiescent slot: bit
+        # n of a code below 2**n is 0
+        codes = np.arange(lo, hi, dtype="<u8").view(np.uint8).reshape(-1, 8)
+        ext = np.unpackbits(codes, axis=1, count=ca.n + 1, bitorder="little")
+        del codes  # not held through the rule
+        # node-major bools, padded to whole words, pack straight to rows
+        flips = np.zeros((ca.n, (hi - lo + 63) & ~63), dtype=bool)
         for rule, nodes in ca._rule_groups():
-            inputs = ext[:, ca._windows[nodes]]
-            bits = rule.apply_windows(inputs, ca._lengths[nodes]).astype(np.int64)
-            out |= bits @ (np.int64(1) << nodes.astype(np.int64))
-        return out
-
-    def node_flips_range(self, i: int, lo: int, hi: int) -> np.ndarray:
-        ca = self.ca
-        ext = self._ext(lo, hi)
-        # Slice off rectangular padding: beyond the node's true window
-        # length every entry is the quiescent slot, which fixed-arity
-        # rules must not see as an extra input.
-        window = ca._windows[i][: ca._lengths[i]]
-        new_bits = ca.rule_at(i).apply_windows(
-            ext[:, window], ca._lengths[i : i + 1]
-        )
-        return pack_lanes(new_bits != ext[:, i])
+            new = rule.apply_windows(ext[:, ca._windows[nodes]], ca._lengths[nodes])
+            flips[nodes, : hi - lo] = (new != ext[:, nodes]).T
+        return np.packbits(flips, axis=1, bitorder="little").view(np.uint64)
 
     def transient_bytes(self) -> int:
-        n = self.ca.n
-        k_max = self.ca._windows.shape[1]
-        # configs + ext + gathered inputs (uint8 each), new (uint8),
-        # packed output (int64)
-        return chunk_configs(n) * ((n + 1) + n * k_max + n + 8)
+        ca = self.ca
+        k_max = ca._windows.shape[1]
+        # Per configuration: ext bits and bool flips (2n + 1), and per node
+        # of the widest rule group its inputs and the rule's scratch: int64
+        # sums, a decision and two result bytes (18) for a totalistic rule,
+        # else int64 inputs and codes.  Sums cast through 64 KiB.
+        group = max(
+            len(nodes)
+            * (k_max + (18 if isinstance(rule, SymmetricRule) else 8 * k_max + 8))
+            for rule, nodes in ca._rule_groups()
+        )
+        return chunk_configs(ca.n) * (2 * ca.n + 1 + group) + (64 << 10)

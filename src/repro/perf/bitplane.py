@@ -19,7 +19,7 @@ all.  Each node's rule is lowered to a pure bitwise kernel
 
 Throughput is an order of magnitude over the gather path for exactly the
 rules the paper studies.  A range is padded out to whole 64-configuration
-words (:meth:`BitplaneBackend._aligned`), so any ``n`` runs, down to
+words (:meth:`BitplaneBackend.flips_range`), so any ``n`` runs, down to
 Fig. 1's 2-node XOR.  Rules with no lowering are rejected by ``supports``
 and the ``auto`` policy falls back to the numpy backend.
 """
@@ -215,60 +215,34 @@ class BitplaneBackend(SweepBackend):
         cache[j] = plane
         return plane
 
-    # -- kernels ---------------------------------------------------------------
+    # -- the kernel --------------------------------------------------------------
 
-    def _out_plane(
-        self, i: int, lo: int, nwords: int, cache: dict[int, np.ndarray]
-    ) -> np.ndarray:
-        inputs = [
-            self._plane(int(src), lo, nwords, cache) for src in self._windows[i]
-        ]
-        return eval_bit_kernel(self._kernels[i], inputs, nwords)
+    def flips_range(self, lo: int, hi: int) -> np.ndarray:
+        # A short last word is padded: for n < 6 its padding codes lie
+        # past 2**n; they are computed and zeroed.
+        nwords = (hi - lo + 63) >> 6
+        cache: dict[int, np.ndarray] = {}  # each input plane once per chunk
+        flips = np.empty((self.ca.n, nwords), dtype=np.uint64)
+        for i, (kernel, window) in enumerate(zip(self._kernels, self._windows)):
+            inputs = [self._plane(int(src), lo, nwords, cache) for src in window]
+            # The new bit XOR the node's own plane is its flip word.
+            np.bitwise_xor(
+                eval_bit_kernel(kernel, inputs, nwords),
+                self._plane(i, lo, nwords, cache),
+                out=flips[i],
+            )
+        if (hi - lo) & 63:
+            flips[:, -1] &= np.uint64((1 << ((hi - lo) & 63)) - 1)
+        return flips
 
-    # -- packing ---------------------------------------------------------------
-
-    @staticmethod
-    def _unpack(plane: np.ndarray) -> np.ndarray:
-        """Plane words back to one uint8 bit per configuration."""
-        return np.unpackbits(plane.view(np.uint8), bitorder="little")
-
-    @staticmethod
-    def _aligned(lo: int, hi: int) -> tuple[int, int]:
-        """``lo .. hi`` widened to whole words.  For ``n < 6`` the padding
-        codes lie past ``2**n``; they are computed and sliced off."""
-        return lo & ~63, (hi + 63) & ~63
-
-    def step_all_range(self, lo: int, hi: int) -> np.ndarray:
-        lo0, hi0 = self._aligned(lo, hi)
-        nwords = (hi0 - lo0) >> 6
-        cache: dict[int, np.ndarray] = {}
-        out = np.zeros(hi0 - lo0, dtype=np.int64)
-        bits = np.empty_like(out)  # one int64 temporary at every size
-        for i in range(self.ca.n):
-            np.copyto(bits, self._unpack(self._out_plane(i, lo0, nwords, cache)))
-            bits <<= i
-            out |= bits
-        return out[lo - lo0 : (hi - lo0)]
-
-    def node_flips_range(self, i: int, lo: int, hi: int) -> np.ndarray:
-        _, hi0 = self._aligned(lo, hi)
-        nwords = (hi0 - lo) >> 6
-        cache: dict[int, np.ndarray] = {}
-        # Only the flipped bit matters: XOR against the node's own plane,
-        # which is already the packed flip words.
-        diff = self._out_plane(i, lo, nwords, cache) ^ self._plane(
-            i, lo, nwords, cache
-        )
-        if hi < hi0:  # a space of less than one word: zero the padding
-            diff &= np.uint64((1 << (hi - lo)) - 1)
-        return diff
-
-    # The base encode, bound here too: the repository benchmark's tracer
-    # patches ``BitplaneBackend.node_successors_range`` by name.
+    # The base encoders, bound here too: the repository benchmark's tracer
+    # patches ``BitplaneBackend.step_all_range`` and
+    # ``.node_successors_range`` by name.
+    step_all_range = SweepBackend.step_all_range
     node_successors_range = SweepBackend.node_successors_range
 
     def transient_bytes(self) -> int:
         n = self.ca.n
-        # input-plane cache (<= n+1 planes at chunk/8 bytes), adder/minterm
-        # scratch, the packed int64 output and the per-node unpack temps
-        return chunk_configs(n, 64) * ((n + 1) // 8 + 4 + 8 + 10)
+        # the flip words (n/8 per configuration) beside the input-plane
+        # cache and adder/minterm scratch, or the encoder (two int64s, a row)
+        return chunk_configs(n) * (n // 8 + 1 + max((n + 1) // 8 + 5, 17))

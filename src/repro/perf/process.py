@@ -63,6 +63,7 @@ the poison/degraded serial path.
 
 from __future__ import annotations
 
+import math
 import multiprocessing as mp
 import os
 import signal
@@ -136,19 +137,20 @@ def _flush_snapshot() -> dict:
     return snapshot
 
 
-def _worker_main(wid, fill, conn, cancel, kernel, dtype) -> None:
+def _worker_main(wid, fill, conn, cancel, kernel, dtype, lead=()) -> None:
     """Worker loop: shards in, per-shard completions + metric deltas out.
 
     ``fill(lo, hi)`` is the parent's successor-range callable, inherited by
     fork (rules never cross a pickle boundary), whose results land in a
-    shard segment of the output's ``dtype``; ``kernel`` is the counts
-    kernel (:mod:`repro.perf.counts`) of a counts sweep, inherited the
-    same way, and None otherwise.  Tasks arrive and results leave on
-    ``conn``, this worker's own pipe, so no lock is shared with the
-    parent or a sibling; the parent sends the next task only after this
-    one's reply.  Kernel exceptions are caught and shipped as structured
-    ``error`` results — a worker only dies from the outside (SIGKILL,
-    OOM) or from a ``worker-crash`` fault.  Metrics are flushed alongside every shard
+    shard segment of the output's ``dtype`` and leading axes ``lead``
+    (``(n,)`` for flip words); ``kernel`` is the counts kernel
+    (:mod:`repro.perf.counts`) of a counts sweep, inherited the same way,
+    and None otherwise.  Tasks arrive and results leave on ``conn``, this
+    worker's own pipe, so no lock is shared with the parent or a sibling;
+    the parent sends the next task only after this one's reply.  Kernel
+    exceptions are caught and shipped as structured ``error`` results — a
+    worker only dies from the outside (SIGKILL, OOM) or from a
+    ``worker-crash`` fault.  Metrics are flushed alongside every shard
     completion, so an abnormal death loses at most the in-flight shard's
     increments.
     """
@@ -181,7 +183,7 @@ def _worker_main(wid, fill, conn, cancel, kernel, dtype) -> None:
                     chunk = kernel.chunk
                 else:
                     entries = sweep_entries(dtype, 0, hi - lo).stop
-                    out = np.ndarray(entries, dtype=dtype, buffer=shm.buf)
+                    out = np.ndarray((*lead, entries), dtype=dtype, buffer=shm.buf)
                     chunk = CHUNK
                 for clo in range(lo, hi, chunk):
                     if cancel.value:
@@ -192,7 +194,7 @@ def _worker_main(wid, fill, conn, cancel, kernel, dtype) -> None:
                     if kernel is not None:
                         kernel.merge(out, kernel.census_range(clo, chi))
                     else:
-                        out[sweep_entries(dtype, clo - lo, chi - lo)] = fill(
+                        out[..., sweep_entries(dtype, clo - lo, chi - lo)] = fill(
                             clo, chi
                         )
                 del out
@@ -264,18 +266,15 @@ class ProcessBackend(SweepBackend):
     def describe(self) -> str:
         return f"process[{self._inner.name} x{self.workers}]"
 
-    # -- serial kernels (delegated) --------------------------------------------
+    # -- the serial kernel (delegated) -----------------------------------------
     # Direct range calls (single chunks, small sweeps) skip the pool.
 
-    def step_all_range(self, lo: int, hi: int) -> np.ndarray:
-        return self._inner.step_all_range(lo, hi)
-
-    def node_flips_range(self, i: int, lo: int, hi: int) -> np.ndarray:
-        return self._inner.node_flips_range(i, lo, hi)
+    def flips_range(self, lo: int, hi: int) -> np.ndarray:
+        return self._inner.flips_range(lo, hi)
 
     def transient_bytes(self) -> int:
         # every worker holds one chunk of inner scratch plus its shard's
-        # shared int64 output buffer in flight
+        # shared output in flight (8 B a configuration bounds n/8 B of words)
         return self.workers * (
             self._inner.transient_bytes() + 8 * self._shard_len()
         )
@@ -301,7 +300,7 @@ class ProcessBackend(SweepBackend):
         *,
         fill=None,
         start: int = 0,
-        per_state: int = 0,
+        per_state: float = 0,
         kernel=None,
         total: int | None = None,
     ) -> tuple[int, str | None]:
@@ -312,9 +311,12 @@ class ProcessBackend(SweepBackend):
         completed, else the budget trip reason and ``next_lo`` the end of
         the contiguous completed-and-charged prefix — the honest resume
         point.  Workers inherit ``fill`` by fork and call it one ``CHUNK``
-        at a time into a shard segment of ``out``'s dtype (packed flip
-        words included, see :func:`~repro.perf.base.sweep_entries`); any
-        worker may compute any shard.
+        at a time into a shard segment of ``out``'s dtype and leading axes
+        (an ``(n, shard words)`` block of flip words, see
+        :func:`~repro.perf.base.sweep_entries`); any worker may compute
+        any shard.  A configuration counts one state per row of ``out``.
+        A shard is admitted chunk by chunk and cut at a chunk the budget
+        trips at: a trip stops at the serial loop's chunk.
 
         Given a counts ``kernel`` (:mod:`repro.perf.counts`), the sweep
         shards the range ``[start, total)`` of that kernel instead: ``out``
@@ -322,14 +324,14 @@ class ProcessBackend(SweepBackend):
         instead of a successor block, shards follow the kernel's
         ``shard_align`` / ``shards_per_worker``, and counts fold in shard
         order as the contiguous prefix advances — so ``next_lo`` keeps
-        exactly the serial driver's resume semantics.  Shard admission
-        projects each shard's own states as well, so a states cap trips
-        at the same code the serial chunk loop trips at.
+        exactly the serial driver's resume semantics.
 
         Raises :class:`~repro.perf.supervise.ShardFailed` only when a
         poison shard *also* fails the serial inline fallback.
         """
         counts = kernel is not None
+        lead = out.shape[:-1]  # () for successors and counts
+        rows = math.prod(lead)
         if counts:
             align, parts = kernel.shard_align, kernel.shards_per_worker
             transient = self.workers * kernel.transient_bytes()
@@ -371,7 +373,7 @@ class ProcessBackend(SweepBackend):
             conn, child_conn = ctx.Pipe()
             proc = ctx.Process(
                 target=_worker_main,
-                args=(wid, fill, child_conn, cancel, kernel, out.dtype),
+                args=(wid, fill, child_conn, cancel, kernel, out.dtype, lead),
                 daemon=True,
             )
             proc.start()
@@ -416,8 +418,9 @@ class ProcessBackend(SweepBackend):
                 nonlocal next_merge, uncharged
                 while next_merge < len(shards) and status.get(next_merge):
                     lo, hi = shards[next_merge]
-                    budget.charge(states=hi - lo, bytes_=per_state * (hi - lo))
-                    uncharged -= hi - lo
+                    states = rows * (hi - lo)
+                    budget.charge(states=states, bytes_=math.ceil(per_state * states))
+                    uncharged -= states
                     if counts:
                         # Fold counts only as the charged prefix advances,
                         # so a truncated accumulator matches what a serial
@@ -425,19 +428,28 @@ class ProcessBackend(SweepBackend):
                         kernel.merge(out, shard_counts.pop(next_merge))
                     next_merge += 1
 
-            def _admit(lo: int, hi: int) -> str | None:
-                """Budget check before admitting shard ``[lo, hi)``.
+            def _admit(lo: int, hi: int) -> tuple[int, str | None]:
+                """``(end, reason)``: shard ``[lo, hi)`` is admitted up to
+                ``end``, where the budget trips with ``reason`` (or None).
 
-                Projects every admitted-but-uncharged shard too, so
-                dispatch-ahead trips at the same accounted footprint the
-                serial chunk loop would (which checks with all prior
-                chunks already charged).  Counts shards also project their
-                own states, as the serial counts loop projects each chunk.
+                Every admitted-but-uncharged state is projected too, so a
+                trip lands where the serial loops' would, all prior work
+                charged: a fill shard is checked per ``CHUNK``, as the
+                serial chunk loop checks, and a counts shard whole, also
+                projecting its own states, as the serial counts loop does.
                 """
-                return budget.over(
-                    pending_bytes=transient + per_state * (uncharged + hi - lo),
-                    pending_states=uncharged + (hi - lo if counts else 0),
-                )
+                step = hi - lo if counts else CHUNK
+                for b in range(lo, hi, step):
+                    before = uncharged + rows * (b - lo)
+                    states = rows * (min(b + step, hi) - b)
+                    reason = budget.over(
+                        pending_bytes=transient
+                        + math.ceil(per_state * (before + states)),
+                        pending_states=before + (states if counts else 0),
+                    )
+                    if reason is not None:
+                        return b, reason
+                return hi, None
 
             def _cleanup_shm(sid: int) -> None:
                 shm = inflight.pop(sid, None)
@@ -461,7 +473,7 @@ class ProcessBackend(SweepBackend):
                         if counts:
                             shard_counts[sid] = kernel.census_range(lo, hi)
                         else:
-                            out[sweep_entries(out.dtype, lo, hi)] = fill(lo, hi)
+                            out[..., sweep_entries(out.dtype, lo, hi)] = fill(lo, hi)
                     except Exception as exc:
                         lease.fail(None, repr(exc), traceback.format_exc())
                         raise ShardFailed(
@@ -562,21 +574,24 @@ class ProcessBackend(SweepBackend):
                         sid = pending[0]
                         lo, hi = shards[sid]
                         if sid not in inflight:
-                            # First dispatch: admit against the budget.
+                            # First dispatch: admit against the budget,
+                            # cutting the shard at a chunk that trips it.
                             # Re-dispatches reuse the original admission
                             # and buffer.
-                            reason = _admit(lo, hi)
-                            if reason is not None:
+                            hi, reason = _admit(lo, hi)
+                            if hi == lo:
                                 break
+                            shards[sid] = (lo, hi)
+                            leases[sid].hi = hi
                             entries = (
                                 kernel.counts_slots
                                 if counts
                                 else sweep_entries(out.dtype, 0, hi - lo).stop
                             )
                             inflight[sid] = shared_memory.SharedMemory(
-                                create=True, size=out.itemsize * entries
+                                create=True, size=out.itemsize * rows * entries
                             )
-                            uncharged += hi - lo
+                            uncharged += rows * (hi - lo)
                         if degraded:
                             pending.popleft()
                             _serial_shard(sid)
@@ -663,8 +678,8 @@ class ProcessBackend(SweepBackend):
                             )
                         else:
                             part = sweep_entries(out.dtype, lo, hi)
-                            out[part] = np.ndarray(
-                                part.stop - part.start,
+                            out[..., part] = np.ndarray(
+                                (*lead, part.stop - part.start),
                                 dtype=out.dtype,
                                 buffer=shm.buf,
                             )
@@ -706,7 +721,7 @@ class ProcessBackend(SweepBackend):
                 for shm in inflight.values():
                     shm.close()
                     shm.unlink()
-            next_lo = shards[next_merge][0] if next_merge < len(shards) else total
+            next_lo = shards[next_merge - 1][1] if next_merge else start
             sweep_span.set(
                 next_lo=next_lo,
                 truncated=reason,

@@ -29,20 +29,31 @@ __all__ = ["MUTANTS", "active_mutant"]
 def _mutant_bitplane_stale_bit():
     """Node update XORs the new bit instead of replacing the old one.
 
-    Patches the one sequential kernel, which every node-successor path
-    (row, matrix and governed build) encodes from.
+    Patches the one range kernel, which both maps encode from: the
+    parallel successors and every node-successor path (row, matrix and
+    governed build).
     """
 
-    def node_flips_range(self, i, lo, hi):
-        _, hi0 = self._aligned(lo, hi)
+    def flips_range(self, lo, hi):
+        nwords = (hi - lo + 63) >> 6
+        cache: dict = {}
         # BUG: flips bit i whenever the new bit is 1, rather than
         # whenever it differs from the old bit.
-        new_plane = self._out_plane(i, lo, (hi0 - lo) >> 6, {})
-        if hi < hi0:
-            new_plane &= np.uint64((1 << (hi - lo)) - 1)
-        return new_plane
+        flips = np.stack(
+            [
+                bitplane.eval_bit_kernel(
+                    kernel,
+                    [self._plane(int(src), lo, nwords, cache) for src in window],
+                    nwords,
+                )
+                for kernel, window in zip(self._kernels, self._windows)
+            ]
+        )
+        if (hi - lo) & 63:
+            flips[:, -1] &= np.uint64((1 << ((hi - lo) & 63)) - 1)
+        return flips
 
-    return [(bitplane.BitplaneBackend, "node_flips_range", node_flips_range)]
+    return [(bitplane.BitplaneBackend, "flips_range", flips_range)]
 
 
 def _mutant_bitplane_parity_drop():

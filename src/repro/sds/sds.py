@@ -7,11 +7,12 @@ and a permutation ``pi``.  One application of the SDS map updates the
 vertices in ``pi``'s order, each seeing the partially updated state.  The
 SyDS drops ``pi`` and updates all vertices simultaneously.
 
-Implementation: vertex updates are exactly the single-node successor maps
-of a :class:`repro.core.CellularAutomaton` over the corresponding
-:class:`repro.spaces.GraphSpace`, so an SDS map over all ``2**n``
-configurations is just the *composition of permuted successor arrays* —
-``n`` vectorized gathers, no per-configuration work.
+Implementation: vertex updates are exactly the single-node updates of a
+:class:`repro.core.CellularAutomaton` over the corresponding
+:class:`repro.spaces.GraphSpace`, whose flip words (bit ``x`` of row ``i``:
+updating ``i`` changes ``x``) one sweep computes; an SDS map over all
+``2**n`` configurations is their composition, ``x ^= flip_i(x) << i`` per
+letter — one vectorized gather each, no per-configuration work.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from repro.core.phase_space import PhaseSpace
 from repro.core.rules import TableRule, UpdateRule
 from repro.spaces.base import FiniteSpace
 from repro.spaces.graph import GraphSpace
+from repro.util.bitops import xor_flip
 from repro.util.orders import is_permutation_word
 from repro.util.validation import check_state_vector
 
@@ -64,6 +66,9 @@ class SDS:
             raise ValueError(
                 f"{self.permutation} is not a permutation of 0..{n - 1}"
             )
+        #: the vertices' flip words once swept, shared by every
+        #: :meth:`with_permutation` clone
+        self._swept: dict[str, np.ndarray] = {}
 
     @property
     def n(self) -> int:
@@ -77,22 +82,29 @@ class SDS:
             self._ca.update_node_inplace(state, i)
         return state
 
+    def _compose(self, word: Sequence[int], what: str) -> np.ndarray:
+        """The packed map of updating the letters of ``word`` in order:
+        each takes ``x`` to ``x ^ flip_i(x) << i``."""
+        n = self.n
+        if n > 22:
+            raise ValueError(f"{what} over 2**{n} configurations is too large")
+        if "flips" not in self._swept:
+            self._swept["flips"] = self._ca.flips()
+        result = np.arange(1 << n, dtype=np.int64)
+        for i in map(int, word):
+            if not 0 <= i < n:
+                raise ValueError(f"word letter {i} out of range for n={n}")
+            xor_flip(result, self._swept["flips"][i], i, result)
+        return result
+
     @cached_property
     def global_map(self) -> np.ndarray:
         """The SDS map over all ``2**n`` packed configurations.
 
-        Computed as the composition of the per-node successor arrays in
-        permutation order — ``n`` fancy-indexing passes over ``2**n``
-        entries.
+        Composed from the vertices' flip words in permutation order —
+        ``n`` fancy-indexing passes over ``2**n`` entries.
         """
-        n = self.n
-        if n > 22:
-            raise ValueError(f"global map over 2**{n} configurations is too large")
-        result = np.arange(1 << n, dtype=np.int64)
-        for i in self.permutation:
-            succ_i = self._ca.node_successors(i)
-            result = succ_i[result]
-        return result
+        return self._compose(self.permutation, "global map")
 
     def word_map(self, word: Sequence[int]) -> np.ndarray:
         """Global map of an arbitrary update *word* (word-SDS).
@@ -102,15 +114,7 @@ class SDS:
         Returns the packed global map of applying the word left to right;
         ``word_map(w1 + w2)`` equals the composition of the two maps.
         """
-        n = self.n
-        if n > 22:
-            raise ValueError(f"word map over 2**{n} configurations is too large")
-        result = np.arange(1 << n, dtype=np.int64)
-        for i in word:
-            if not 0 <= int(i) < n:
-                raise ValueError(f"word letter {i} out of range for n={n}")
-            result = self._ca.node_successors(int(i))[result]
-        return result
+        return self._compose(word, "word map")
 
     def phase_space(self) -> PhaseSpace:
         """Deterministic phase space of the (deterministic) SDS map."""
@@ -125,6 +129,7 @@ class SDS:
         clone = SDS.__new__(SDS)
         clone.space = self.space
         clone._ca = self._ca
+        clone._swept = self._swept
         perm = tuple(int(i) for i in permutation)
         if not is_permutation_word(perm, self.n):
             raise ValueError(f"{perm} is not a permutation of 0..{self.n - 1}")

@@ -31,6 +31,7 @@ __all__ = [
     "int_to_bits",
     "all_configurations",
     "flip_successors",
+    "xor_flip",
     "flip_lanes",
     "popcount",
     "popcount_array",
@@ -111,6 +112,14 @@ def flip_successors(words: np.ndarray) -> np.ndarray:
     succ <<= np.arange(n, dtype=np.int64)[:, None]
     succ ^= np.arange(1 << n, dtype=np.int64)
     return succ
+
+
+def xor_flip(out: np.ndarray, words: np.ndarray, i: int, source: np.ndarray) -> None:
+    """``out ^= flip_i(source) << i`` in place, ``flip_i`` read from node
+    ``i``'s flip ``words`` (``source`` is ``out`` for a sequential step)."""
+    bit = unpack_lanes(words, out.size)[source].astype(np.int64)
+    bit <<= i
+    out ^= bit
 
 
 #: ``(shift, mask)`` of each ``i < 6``: the shift ``2**i`` and the word
@@ -292,7 +301,7 @@ def unpack_lanes(words: np.ndarray, lanes: int) -> np.ndarray:
     """The first ``lanes`` per-lane booleans of ``uint64`` lane words."""
     return np.unpackbits(
         np.ascontiguousarray(words).view(np.uint8), count=lanes, bitorder="little"
-    ).astype(bool)
+    ).view(bool)
 
 
 def _add_unpacked(out: np.ndarray, digits: list[np.ndarray]) -> None:

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from repro.core.automaton import CellularAutomaton
 from repro.core.budget import Budget, BudgetExceeded, CancelToken, use_budget
 from repro.core.heterogeneous import HeterogeneousCA
-from repro.core.nondet import build_nondet_phase_space
+from repro.core.nondet import NondetPhaseSpace, build_nondet_phase_space
 from repro.core.phase_space import PhaseSpace, build_phase_space
 from repro.core.rules import (
     MajorityRule,
@@ -42,6 +42,7 @@ from repro.perf import (
     lower_bit_kernel,
     resolve_backend,
 )
+from repro.perf.base import sweep_entries
 from repro.spaces.graph import GraphSpace
 from repro.spaces.line import Line, Ring
 from repro.util.bitops import config_str, int_to_bits
@@ -115,6 +116,63 @@ class TestSerialBackendsMatchOracle:
         assert table.shape == (9, 1 << 9)
         for i in range(ca.n):
             np.testing.assert_array_equal(table[i], ca.node_successors(i))
+
+
+def _scalar_flips(ca) -> np.ndarray:
+    """Flip words from the scalar ``update_node``: bit ``c`` of row ``i``
+    is set iff updating node ``i`` alone changes configuration ``c``."""
+    size = 1 << ca.n
+    want = np.zeros((ca.n, max(1, size >> 6)), dtype=np.uint64)
+    for c in range(size):
+        state = int_to_bits(c, ca.n)
+        for i in range(ca.n):
+            if ca.update_node(state, i)[i] != state[i]:
+                want[i, c >> 6] |= np.uint64(1) << np.uint64(c & 63)
+    return want
+
+
+FLIP_CASES = [
+    pytest.param(Ring(9), SimpleThresholdRule(2), False, id="ring9-thr2-nomem"),
+    pytest.param(Line(2), XorRule(), False, id="line2-xor-nomem"),
+    pytest.param(Line(7), MajorityRule(), True, id="line7-majority"),
+    pytest.param(Line(10), XorRule(), True, id="line10-xor"),
+    pytest.param(Ring(10), WolframRule(110), True, id="ring10-w110"),
+    pytest.param(Ring(8), WolframRule(30), True, id="ring8-w30"),
+    pytest.param(Ring(5), MajorityRule(), True, id="ring5-majority"),
+]
+
+
+class TestFlipsRange:
+    """The one range kernel against the scalar node update, on every
+    backend (process delegates to its serial kernel)."""
+
+    @staticmethod
+    def _check(ca):
+        want = _scalar_flips(ca)
+        size = 1 << ca.n
+        np.testing.assert_array_equal(ca.backend.flips_range(0, size), want)
+        # ranges ending inside a word: the padding bits past them are zero
+        for lo in range(0, size, 64):
+            for length in (1, 5, 33, 63):
+                hi = min(lo + length, size)
+                got = ca.backend.flips_range(lo, hi)
+                mask = np.uint64((1 << (hi - lo)) - 1)
+                np.testing.assert_array_equal(
+                    got, want[:, lo >> 6 : (lo >> 6) + 1] & mask
+                )
+
+    @pytest.mark.parametrize("space,rule,memory", FLIP_CASES)
+    @pytest.mark.parametrize("backend", ["numpy", "bitplane", "process"])
+    def test_matches_update_node(self, space, rule, memory, backend):
+        self._check(make_ca(space, rule, memory=memory, backend=backend, workers=2))
+
+    @pytest.mark.parametrize("backend", ["numpy", "bitplane", "process"])
+    def test_heterogeneous_matches_update_node(self, backend):
+        rules = [
+            MajorityRule(), XorRule(), SimpleThresholdRule(1), WolframRule(110),
+            SimpleThresholdRule(2), XorRule(), MajorityRule(), WolframRule(30),
+        ]
+        self._check(HeterogeneousCA(Ring(8), rules, backend=backend, workers=2))
 
 
 class TestHeterogeneous:
@@ -240,24 +298,37 @@ class TestProcessBackend:
         ca = make_ca(Ring(12), MajorityRule(), backend="process", workers=3)
         assert ca.backend.describe() == "process[bitplane x3]"
 
-    @pytest.mark.parametrize("n", [12, 17])  # one, then two chunks per row
-    def test_sequential_states_trip_matches_serial(self, n):
-        # The build charges each row once, whichever backend fills it, so
-        # a states cap stops the sharded build at the serial build's row.
+    @pytest.mark.parametrize("n", [12, 17, 20])  # shards of 1, 1, 2 chunks
+    def test_sequential_states_trip_matches_serial(self, n, tmp_path):
+        # A chunk of k configurations is n * k states, charged once
+        # whichever backend fills it, so a states cap stops the sharded
+        # build at the serial build's chunk (n = 12: after its only one,
+        # at the analysis; n = 20: inside the second 2-chunk shard), and
+        # either resume gives the plain build's words.
+        plain = NondetPhaseSpace.from_automaton(
+            make_ca(Ring(n), MajorityRule(), backend="numpy")
+        ).words
+
         def fingerprint(backend):
             ca = make_ca(Ring(n), MajorityRule(), backend=backend, workers=2)
             p = build_nondet_phase_space(
-                ca, budget=Budget(max_states=int(1.5 * 2**n) + 5)
+                ca, budget=Budget(max_states=3 << n)
             )
             assert not p.complete and p.reason.startswith("states")
             meta = {k: v for k, v in p.frontier.items() if k != "succ"}
-            rows = np.ascontiguousarray(
-                p.frontier["succ"][: p.frontier["next_row"]]
+            k = sweep_entries(np.uint64, 0, meta["next_lo"]).stop
+            prefix = np.ascontiguousarray(p.frontier["succ"][:, :k])
+            save_frontier(tmp_path / backend, p)
+            resumed = build_nondet_phase_space(
+                ca, budget=Budget(), frontier=load_frontier(tmp_path / backend)
             )
-            return meta, p.stats, hashlib.sha256(rows.tobytes()).hexdigest()
+            assert resumed.complete
+            np.testing.assert_array_equal(resumed.value.words, plain)
+            return meta, p.explored, hashlib.sha256(prefix.tobytes()).hexdigest()
 
         serial = fingerprint("bitplane")
-        assert serial[1]["rows_done"] == 2
+        assert serial[0]["next_lo"] == {12: 1 << 12, 17: 1 << 16, 20: 3 << 16}[n]
+        assert serial[1] == n * serial[0]["next_lo"]
         assert fingerprint("process") == serial
 
     @pytest.mark.parametrize("backend", ["bitplane", "process"])
@@ -302,16 +373,18 @@ class TestSmallSpaceScratch:
     """Below 2**16 configurations a sweep's one chunk is the whole space,
     so its scratch, and what the budget projects for it, shrink with it."""
 
-    #: (n, sequential ceiling, parallel ceiling): each under what a full
-    #: 2**16-configuration chunk projects on either backend
+    #: (backend, n, sequential ceiling, parallel ceiling): each under
+    #: what a full 2**16-configuration chunk projects on that backend
     CEILINGS = [
-        (8, 512 << 10, 512 << 10),
-        (12, 512 << 10, 512 << 10),
-        (14, 1434 << 10, 1843 << 10),
+        ("numpy", 8, 512 << 10, 512 << 10),
+        ("numpy", 12, 1536 << 10, 1536 << 10),
+        ("numpy", 14, 6 << 20, 6 << 20),
+        ("bitplane", 8, 512 << 10, 512 << 10),
+        ("bitplane", 12, 512 << 10, 512 << 10),
+        ("bitplane", 14, 1434 << 10, 1843 << 10),
     ]
 
-    @pytest.mark.parametrize("n, seq_ceiling, par_ceiling", CEILINGS)
-    @pytest.mark.parametrize("backend", SERIAL)
+    @pytest.mark.parametrize("backend, n, seq_ceiling, par_ceiling", CEILINGS)
     def test_small_builds_fit_small_ceilings(
         self, backend, n, seq_ceiling, par_ceiling
     ):
@@ -321,23 +394,23 @@ class TestSmallSpaceScratch:
         ).complete
         assert build_phase_space(ca, budget=Budget(mem_bytes=par_ceiling)).complete
 
-    @pytest.mark.parametrize("n", [4, 8, 12, 14, 16])
-    @pytest.mark.parametrize("rule", [MajorityRule(), XorRule()], ids=str)
-    def test_bitplane_chunk_peak_within_projection(self, rule, n):
-        """One governed chunk of parallel successors or of a flip row
-        peaks within ``transient_bytes()``, give or take the few KiB of
-        Python objects any call allocates.  Below 2**15 configurations
-        NumPy elides no temporary, which n = 14 would show."""
+    @staticmethod
+    def _chunk_peak_within_projection(backend):
+        """One governed chunk of parallel successors or of every node's
+        flip words peaks within ``transient_bytes()``, give or take the
+        few KiB of Python objects any call allocates.  Below 2**15
+        configurations NumPy elides no temporary, which n = 14 would
+        show."""
         import tracemalloc
 
         from repro.perf.base import flip_row_words
 
-        backend = make_ca(Ring(n), rule, backend="bitplane").backend
+        n = backend.ca.n
         for out, fill in (
             (np.empty(1 << n, dtype=np.int64), backend.step_all_range),
             (
-                np.empty(flip_row_words(n), dtype=np.uint64),
-                lambda lo, hi: backend.node_flips_range(n // 2, lo, hi),
+                np.empty((n, flip_row_words(n)), dtype=np.uint64),
+                backend.flips_range,
             ),
         ):
             backend.governed_sweep(out, Budget(), fill=fill)  # warm caches
@@ -348,6 +421,22 @@ class TestSmallSpaceScratch:
             finally:
                 tracemalloc.stop()
             assert peak <= backend.transient_bytes() + (16 << 10)
+
+    RULES = [MajorityRule(), XorRule(), WolframRule(110)]
+
+    @pytest.mark.parametrize("n", [4, 8, 12, 14, 16])
+    @pytest.mark.parametrize("rule", RULES, ids=str)
+    def test_bitplane_chunk_peak_within_projection(self, rule, n):
+        backend = make_ca(Ring(n), rule, backend="bitplane").backend
+        self._chunk_peak_within_projection(backend)
+
+    @pytest.mark.parametrize("n", [4, 8, 12, 14, 16])
+    @pytest.mark.parametrize("rule", RULES, ids=str)
+    def test_numpy_chunk_peak_within_projection(self, rule, n):
+        # the reference kernel's window sums (totalistic rules) and int64
+        # window codes (tables) are most of its scratch
+        backend = make_ca(Ring(n), rule, backend="numpy").backend
+        self._chunk_peak_within_projection(backend)
 
 
 class TestSelectionPolicy:

@@ -224,9 +224,10 @@ class TestGovernedPhaseSpace:
         # chunk-transient size (the compiled backends fit in far less).
         ca = CellularAutomaton(Ring(18), MajorityRule(), backend="numpy")
         exact = PhaseSpace.from_automaton(ca)
-        # 12MB: enough for the chunk transients, not for the full build —
-        # trips mid-sweep with a consistent explored prefix.
-        p1 = build_phase_space(ca, budget=Budget(mem_bytes=12 << 20))
+        # 31MB: enough for the chunk transients (26MB) and the disk-backed
+        # resume's analysis (5MB besides), not for the full in-memory
+        # build — trips mid-sweep with a consistent explored prefix.
+        p1 = build_phase_space(ca, budget=Budget(mem_bytes=31 << 20))
         assert not p1.complete
         assert "memory" in p1.reason
         assert 0 < p1.explored < p1.total == 1 << 18
@@ -240,7 +241,7 @@ class TestGovernedPhaseSpace:
 
         # The resumed build streams to disk, so the same ceiling now fits.
         p2 = build_phase_space(
-            ca, budget=Budget(mem_bytes=12 << 20), frontier=frontier
+            ca, budget=Budget(mem_bytes=31 << 20), frontier=frontier
         )
         assert p2.complete
         assert p2.value.summary() == exact.summary()
@@ -267,32 +268,69 @@ class TestGovernedNondet:
         assert partial.complete
         assert partial.value.summary() == exact.summary()
 
-    def test_truncates_at_row_boundary_and_resumes(self, tmp_path):
-        ca = CellularAutomaton(Ring(10), MajorityRule())
+    def test_truncates_at_chunk_boundary_and_resumes(self, tmp_path):
+        ca = CellularAutomaton(Ring(17), MajorityRule())
         exact = NondetPhaseSpace.from_automaton(ca)
-        # A state cap covering three per-node rows, not all ten; the
-        # partial row in flight at the trip is discarded, so the frontier
-        # sits exactly on a row boundary.
+        # A state cap of one 2**16-configuration chunk of all 17 nodes,
+        # (17 * 2**16 states): the sweep stops after the first of the two
+        # chunks, so the frontier sits exactly on a chunk boundary.
         p1 = build_nondet_phase_space(
-            ca, budget=Budget(max_states=3 * (1 << 10))
+            ca, budget=Budget(max_states=17 << 16)
         )
-        assert not p1.complete
-        rows_done = p1.stats["rows_done"]
-        assert 0 < rows_done < 10
-        assert p1.explored == rows_done * (1 << 10)
+        assert not p1.complete and p1.reason.startswith("states")
+        assert p1.stats == {}
+        assert p1.explored == 17 << 16
 
         save_frontier(tmp_path, p1)
         frontier = load_frontier(tmp_path)
-        assert frontier["next_row"] == rows_done
-        # the flip words round-trip as uint64, bit for bit
+        assert frontier["next_lo"] == 1 << 16
+        # the flip words round-trip as uint64, each row's filled words bit
+        # for bit
         assert frontier["succ"].dtype == np.uint64
-        assert frontier["succ"].shape == (10, (1 << 10) // 64)
+        assert frontier["succ"].shape == (17, (1 << 17) // 64)
         np.testing.assert_array_equal(
-            frontier["succ"][:rows_done], p1.frontier["succ"][:rows_done]
+            frontier["succ"][:, :1024], p1.frontier["succ"][:, :1024]
         )
+        np.testing.assert_array_equal(frontier["succ"][:, :1024], exact.words[:, :1024])
         p2 = build_nondet_phase_space(ca, budget=Budget(), frontier=frontier)
         assert p2.complete
+        np.testing.assert_array_equal(p2.value.words, exact.words)
         assert p2.value.summary() == exact.summary()
+
+    def test_row_by_row_frontier_refused(self, tmp_path):
+        # A frontier of the format before configuration chunks: next_row
+        # whole rows of flip words, stamped over those rows.  It must be
+        # refused with one line (the CLI exits 1), never read through a
+        # stamp over another axis.
+        import json
+
+        from repro.core import durable
+
+        words = NondetPhaseSpace.from_automaton(
+            CellularAutomaton(Ring(10), MajorityRule())
+        ).words
+        np.save(tmp_path / "frontier_succ.npy", words)
+        meta = {
+            "kind": "nondet", "n": 10, "total": 10 << 10, "next_row": 3,
+            "automaton": CellularAutomaton(Ring(10), MajorityRule()).describe(),
+            "schema": "repro-frontier/1", "explored": 3 << 10,
+            "reason": "states: enumerated 3072 >= cap 3072", "stats": {},
+            "array": {
+                "crc32": durable.crc32_of_array_prefix(words[:3].ravel(), 48),
+                "rows": 3,
+                "nbytes": (tmp_path / "frontier_succ.npy").stat().st_size,
+            },
+        }
+        (tmp_path / "frontier.json").write_text(json.dumps(meta))
+        message = "a sequential frontier saved row by row, by an older version"
+        with pytest.raises(ValueError, match=message):
+            load_frontier(tmp_path)
+        with pytest.raises(SystemExit, match=message) as err:
+            run_cli(
+                "phase-space", "--n", "10", "--mode", "sequential",
+                "--resume", str(tmp_path),
+            )
+        assert "\n" not in str(err.value)
 
     def test_int64_frontier_refused(self, tmp_path):
         # A frontier of int64 successor rows, or of bool flip rows (the
@@ -427,10 +465,10 @@ class TestBudgetCLI:
 
     def test_governed_truncation_exits_3_then_resume_completes(self, tmp_path):
         # --backend numpy: the trip point is calibrated to the reference
-        # kernel's transient size; compiled backends fit in 12M outright.
+        # kernel's transient size; compiled backends fit in 31M outright.
         args = ("phase-space", "--n", "18", "--rule", "majority",
                 "--backend", "numpy",
-                "--budget-mem", "12M", "--resume", str(tmp_path))
+                "--budget-mem", "31M", "--resume", str(tmp_path))
         code, text = run_cli(*args)
         assert code == 3
         assert "truncated: memory" in text
@@ -448,15 +486,16 @@ class TestBudgetCLI:
         self, tmp_path
     ):
         # XOR is cyclic, so its SCC is charged: the flip words (128 KiB)
-        # and a row's sweep scratch fit 4M, the analysis does not.  The
-        # trip must name the analysis bytes, not promise that a resume
-        # under the same ceiling continues; a larger ceiling finishes.
+        # and the sweep's scratch fit 4M, the analysis does not.  The trip
+        # must name the analysis bytes, not promise that a resume under
+        # the same ceiling continues; a larger ceiling finishes.
         args = ("phase-space", "--n", "16", "--rule", "xor",
                 "--mode", "sequential", "--backend", "bitplane",
                 "--resume", str(tmp_path))
         code, text = run_cli(*args, "--budget-mem", "4M")
         assert code == 3
-        assert "rows_done: 16" in text
+        assert "explored 2^20/2^20 configs — truncated: memory" in text
+        assert "the sweep is complete" in text
         need = int(text.split("analysis_bytes: ")[1].split()[0])
         assert 4 << 20 < need
         assert "rerun with --resume" in text and "to continue" not in text

@@ -321,6 +321,84 @@ class TestDoctor:
         assert "harness" in kinds  # rebuilt from the surviving artifacts
 
 
+class TestSequentialFrontier:
+    """A sequential frontier is ``(n, words)`` flip words whose explored
+    prefix runs along the last axis: every row's words below ``next_lo``,
+    stamped in row order."""
+
+    @pytest.fixture
+    def seq_tree(self, tmp_path):
+        from repro.core.automaton import CellularAutomaton
+        from repro.core.budget import Budget
+        from repro.core.nondet import build_nondet_phase_space
+        from repro.core.rules import MajorityRule
+        from repro.spaces.line import Ring
+
+        # one 2**16-configuration chunk of the two: 1024 words per row
+        p = build_nondet_phase_space(
+            CellularAutomaton(Ring(17), MajorityRule()),
+            budget=Budget(max_states=17 << 16),
+        )
+        assert not p.complete and p.frontier["next_lo"] == 1 << 16
+        save_frontier(tmp_path / "seq", p)
+        return tmp_path
+
+    def test_valid_frontier_passes_doctor(self, seq_tree):
+        from repro.harness.checkpoint import load_frontier
+
+        meta = json.loads((seq_tree / "seq" / "frontier.json").read_text())
+        assert meta["array"]["rows"] == 1024
+        assert load_frontier(seq_tree / "seq")["succ"].shape == (17, 2048)
+        assert run_doctor(seq_tree)["exit_code"] == 0
+
+    def test_torn_words_refused_and_quarantined(self, seq_tree):
+        from repro.harness.checkpoint import load_frontier
+
+        array = seq_tree / "seq" / "frontier_succ.npy"
+        words = np.load(array, mmap_mode="r+")
+        words[16, 1023] ^= np.uint64(1)  # the last stamped word of the last row
+        words.flush()
+        del words
+        with pytest.warns(UserWarning, match="does not match its metadata"):
+            assert load_frontier(seq_tree / "seq") is None
+        report = run_doctor(seq_tree)
+        assert report["exit_code"] == 1
+        assert not array.exists()
+        assert run_doctor(seq_tree)["exit_code"] == 0
+
+    def test_words_past_the_prefix_are_not_stamped(self, seq_tree):
+        from repro.harness.checkpoint import load_frontier
+
+        array = seq_tree / "seq" / "frontier_succ.npy"
+        words = np.load(array, mmap_mode="r+")
+        words[0, 1024] ^= np.uint64(1)  # row 0's first word past next_lo
+        words.flush()
+        del words
+        assert load_frontier(seq_tree / "seq") is not None
+        assert run_doctor(seq_tree)["exit_code"] == 0
+
+    def test_row_by_row_frontier_named_and_quarantined(self, seq_tree):
+        # The format before configuration chunks: next_row whole rows,
+        # stamped over those rows.  The doctor names it as load_frontier
+        # does instead of reading its stamp along the configuration axis.
+        from repro.harness.checkpoint import ROW_BY_ROW_FRONTIER, load_frontier
+
+        meta_path = seq_tree / "seq" / "frontier.json"
+        meta = json.loads(meta_path.read_text())
+        del meta["next_lo"]
+        meta["next_row"] = 3
+        meta_path.write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match="saved row by row"):
+            load_frontier(seq_tree / "seq")
+        report = run_doctor(seq_tree)
+        assert report["exit_code"] == 1
+        (check,) = [f for f in report["files"] if f["path"].endswith("frontier.json")]
+        assert check["status"] == TRUNCATED
+        assert check["detail"] == ROW_BY_ROW_FRONTIER
+        assert not meta_path.exists()
+        assert run_doctor(seq_tree)["exit_code"] == 0
+
+
 class TestDoctorCLI:
     def test_exit_codes_and_json(self, run_tree):
         code, out = run_cli("doctor", str(run_tree))

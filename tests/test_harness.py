@@ -609,9 +609,9 @@ class TestFrontierCheckpointFaults:
         from repro.core.rules import MajorityRule
         from repro.spaces.line import Ring
 
-        # numpy backend: the 12M ceiling is calibrated to its transients.
+        # numpy backend: the 31M ceiling is calibrated to its transients.
         ca = CellularAutomaton(Ring(18), MajorityRule(), backend="numpy")
-        partial = build_phase_space(ca, budget=Budget(mem_bytes=12 << 20))
+        partial = build_phase_space(ca, budget=Budget(mem_bytes=31 << 20))
         assert not partial.complete and partial.frontier is not None
         return ca, partial
 
@@ -637,7 +637,7 @@ class TestFrontierCheckpointFaults:
         frontier = load_frontier(tmp_path)
         assert frontier is not None
         resumed = build_phase_space(
-            ca, budget=Budget(mem_bytes=12 << 20), frontier=frontier
+            ca, budget=Budget(mem_bytes=31 << 20), frontier=frontier
         )
         assert resumed.complete
 

@@ -310,7 +310,10 @@ class TestSinkPeel:
         partial = build_nondet_phase_space(ca, budget=CancelAtPeel())
         assert not partial.complete
         assert partial.reason == "cancelled: test"
-        assert partial.stats == {"rows_done": 10, "rows_total": 10}
+        # the sweep completed: the frontier holds every word
+        assert partial.stats == {}
+        assert partial.explored == partial.total == 10 << 10
+        assert partial.frontier["next_lo"] == 1 << 10
 
 
 class TestAnalysisMemory:
@@ -393,6 +396,28 @@ class TestQueryMemory:
             finally:
                 tracemalloc.stop()
             assert peak <= 6 * nps.words[0].nbytes + 4096
+
+
+    @pytest.mark.parametrize("query", ["coreachable_to", "fixed_points"])
+    def test_lane_answers_hold_under_two_bytes_per_configuration(self, query):
+        """Turning word rows into codes unpacks one byte per configuration
+        and views it as bool, with no bool copy beside it: at n = 20 the
+        Lucas-number set and the fixed points stay under 1.6 B each."""
+        import tracemalloc
+
+        nps = NondetPhaseSpace.from_automaton(
+            CellularAutomaton(Ring(20), MajorityRule())
+        )
+        tracemalloc.start()
+        try:
+            if query == "coreachable_to":
+                nps.coreachable_to(0)
+            else:
+                nps.fixed_points
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.6 * nps.size
 
 
 def _scalar_node_successors(ca) -> np.ndarray:
