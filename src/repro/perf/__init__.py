@@ -1,9 +1,10 @@
 """Pluggable sweep backends for whole-phase-space enumeration.
 
-Every experiment in the paper reduces to whole-space sweeps — the packed
-parallel successor (``step_all``) or single-node sequential successors
-(``node_successors``) of all ``2**n`` configurations.  This package holds
-the kernels that compute them, behind one registry:
+Every experiment in the paper reduces to whole-space sweeps — every
+node's flip words over all ``2**n`` configurations, from which the packed
+parallel (``step_all``) and single-node sequential (``node_successors``)
+successors are encoded.  This package holds the kernels that compute
+them, behind one registry:
 
 ``numpy``
     The generic window-gather reference (works for every space and rule).
@@ -11,8 +12,9 @@ the kernels that compute them, behind one registry:
     SWAR kernels packing 64 configurations per ``uint64`` word; threshold
     / XOR / small-arity (elementary) rules as pure bitwise ops, at any n.
 ``process``
-    A multiprocessing shard layer over any serial backend, merging into a
-    shared-memory successor array with honest budget/frontier semantics.
+    A multiprocessing shard layer over any serial backend, merging shards
+    through shared memory into the caller's output; it admits and charges
+    the serial loop's chunks, so trips and frontiers are the serial ones.
 
 Selection: ``CellularAutomaton(backend=...)`` > the ``REPRO_BACKEND`` env
 var > ``auto``.  The ``auto`` policy picks bitplane when every node's rule

@@ -14,7 +14,8 @@ such kernel the same way.  The protocol, as plain attributes:
 ``merge(acc, delta)``
     fold ``delta`` into ``acc`` in place;
 ``chunk``
-    range width of one serial budget check and of the worker cancel poll;
+    range width of one budget check, serial or sharded, and of the worker
+    cancel poll;
 ``shard_align`` / ``shards_per_worker``
     shard boundaries of the ``process`` backend;
 ``frontier_key()``

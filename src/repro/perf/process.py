@@ -1,11 +1,11 @@
 """Multiprocess sharded sweep backend with a supervised, self-healing pool.
 
-Splits ``[start, 2**n)`` into contiguous shards, computes each shard in a
-worker process with a serial kernel (any of the other backends), and
-merges the results into the caller's successor array through
-``multiprocessing.shared_memory`` buffers — zero-copy on the worker side,
-one ``memcpy`` per shard on the parent side (which also works when the
-parent array is a resumed disk-backed memmap).
+Splits ``[start, 2**n)`` (or a counts kernel's range) into contiguous
+shards, computes each in a worker process with a serial kernel's chunk
+loop, and merges the results into the caller's output (flip words,
+successors or counts) through ``multiprocessing.shared_memory`` buffers
+— zero-copy on the worker side, one ``memcpy`` per shard on the parent
+side (which also works when the parent array is a resumed memmap).
 
 Worker failure never changes an answer, only its latency (shards are
 order-independent and recomputable — see :mod:`repro.perf.supervise`):
@@ -27,7 +27,7 @@ order-independent and recomputable — see :mod:`repro.perf.supervise`):
   ``("error", sid, ...)`` results instead of dying; a shard that fails
   ``max_shard_retries`` times (default 2, ``REPRO_MAX_SHARD_RETRIES``)
   across distinct workers is classified *poison* — the parent computes
-  it inline with the serial inner backend, and if that also raises it
+  it inline with the workers' chunk loop, and if that also raises it
   surfaces a typed :class:`~repro.perf.supervise.ShardFailed` (never a
   hang, never a bare ``RuntimeError``);
 * when the pool collapses (death budget exhausted) the sweep degrades
@@ -37,11 +37,11 @@ order-independent and recomputable — see :mod:`repro.perf.supervise`):
 
 Governance stays honest across the process boundary:
 
-* the parent consults the :class:`~repro.core.budget.Budget` before each
-  shard dispatch and while waiting for results, and *charges* shards only
-  as the contiguous completed prefix advances — so a trip returns exactly
-  the resumable ``next_lo`` frontier the serial builders return, with
-  identical deterministic accounting;
+* the parent admits the serial loop's chunks in order, asking the
+  :class:`~repro.core.budget.Budget` the serial loop's question (its one
+  chunk of scratch) with every admitted-but-uncharged state projected,
+  and *charges* shards only as the contiguous completed prefix advances
+  — so a trip returns the serial loop's ``next_lo`` frontier and reason;
 * a shared cancel byte (``RawValue``, no lock) is polled by every worker
   between chunks, so Ctrl-C / deadline trips wind the pool down
   cooperatively instead of leaving orphans (workers also ignore SIGINT —
@@ -137,13 +137,37 @@ def _flush_snapshot() -> dict:
     return snapshot
 
 
+def _compute_shard(out, lo, hi, fill, kernel, cancel=None, site=None) -> bool:
+    """Compute ``[lo, hi)`` into ``out`` one serial chunk at a time: fill
+    each ``CHUNK`` into ``out``, whose entries start at ``lo``, or fold a
+    counts ``kernel``'s counts of each ``kernel.chunk`` into ``out``.
+
+    The pool's one shard body: a worker runs it into its shard's segment,
+    polling its ``cancel`` byte (set, it stops and returns False) and
+    probing its fault ``site`` before each chunk; the parent's fallback
+    runs it into the caller's output.
+    """
+    chunk = CHUNK if kernel is None else kernel.chunk
+    for clo in range(lo, hi, chunk):
+        if cancel is not None and cancel.value:
+            return False
+        if site is not None:
+            faults.inject(site)
+        chi = min(clo + chunk, hi)
+        if kernel is None:
+            out[..., sweep_entries(out.dtype, clo - lo, chi - lo)] = fill(clo, chi)
+        else:
+            kernel.merge(out, kernel.census_range(clo, chi))
+    return True
+
+
 def _worker_main(wid, fill, conn, cancel, kernel, dtype, lead=()) -> None:
     """Worker loop: shards in, per-shard completions + metric deltas out.
 
-    ``fill(lo, hi)`` is the parent's successor-range callable, inherited by
-    fork (rules never cross a pickle boundary), whose results land in a
-    shard segment of the output's ``dtype`` and leading axes ``lead``
-    (``(n,)`` for flip words); ``kernel`` is the counts kernel
+    ``fill(lo, hi)`` is the parent's range callable, inherited by fork
+    (rules never cross a pickle boundary), whose results land in a shard
+    segment of the output's ``dtype`` and leading axes ``lead`` (``(n,)``
+    for flip words); ``kernel`` is the counts kernel
     (:mod:`repro.perf.counts`) of a counts sweep, inherited the same way,
     and None otherwise.  Tasks arrive and results leave on ``conn``, this
     worker's own pipe, so no lock is shared with the parent or a sibling;
@@ -159,6 +183,7 @@ def _worker_main(wid, fill, conn, cancel, kernel, dtype, lead=()) -> None:
     # snapshots hold only this worker's own increments.
     obs.REGISTRY.reset()
     pid = os.getpid()
+    site = f"perf.worker.w{wid}.chunk"
     while True:
         task = conn.recv()
         if task is None:
@@ -171,7 +196,6 @@ def _worker_main(wid, fill, conn, cancel, kernel, dtype, lead=()) -> None:
             # attaching here neither duplicates nor steals ownership.
             shm = shared_memory.SharedMemory(name=segment)
             try:
-                ok = True
                 if kernel is not None:
                     out = np.ndarray(
                         kernel.counts_slots, dtype=np.int64, buffer=shm.buf
@@ -180,23 +204,10 @@ def _worker_main(wid, fill, conn, cancel, kernel, dtype, lead=()) -> None:
                     # zero it so a dead worker's partial fold never
                     # double-counts.
                     out[:] = 0
-                    chunk = kernel.chunk
                 else:
                     entries = sweep_entries(dtype, 0, hi - lo).stop
                     out = np.ndarray((*lead, entries), dtype=dtype, buffer=shm.buf)
-                    chunk = CHUNK
-                for clo in range(lo, hi, chunk):
-                    if cancel.value:
-                        ok = False
-                        break
-                    faults.inject(f"perf.worker.w{wid}.chunk")
-                    chi = min(clo + chunk, hi)
-                    if kernel is not None:
-                        kernel.merge(out, kernel.census_range(clo, chi))
-                    else:
-                        out[..., sweep_entries(dtype, clo - lo, chi - lo)] = fill(
-                            clo, chi
-                        )
+                ok = _compute_shard(out, lo, hi, fill, kernel, cancel, site)
                 del out
             finally:
                 shm.close()
@@ -273,25 +284,9 @@ class ProcessBackend(SweepBackend):
         return self._inner.flips_range(lo, hi)
 
     def transient_bytes(self) -> int:
-        # every worker holds one chunk of inner scratch plus its shard's
-        # shared output in flight (8 B a configuration bounds n/8 B of words)
-        return self.workers * (
-            self._inner.transient_bytes() + 8 * self._shard_len()
-        )
+        return self._inner.transient_bytes()
 
     # -- sharded governed sweep ------------------------------------------------
-
-    def _shard_len(
-        self,
-        span: int | None = None,
-        parts_per_worker: int = 4,
-        align: int = CHUNK,
-    ) -> int:
-        """Shard size: ~4 shards per worker for load balance, ``align``-ed."""
-        if span is None:
-            span = 1 << self.ca.n
-        per = span // (self.workers * parts_per_worker) or span
-        return max(align, (per // align) * align)
 
     def governed_sweep(
         self,
@@ -315,16 +310,18 @@ class ProcessBackend(SweepBackend):
         (an ``(n, shard words)`` block of flip words, see
         :func:`~repro.perf.base.sweep_entries`); any worker may compute
         any shard.  A configuration counts one state per row of ``out``.
-        A shard is admitted chunk by chunk and cut at a chunk the budget
-        trips at: a trip stops at the serial loop's chunk.
 
         Given a counts ``kernel`` (:mod:`repro.perf.counts`), the sweep
         shards the range ``[start, total)`` of that kernel instead: ``out``
-        is then its counts accumulator, each shard ships a counts vector
-        instead of a successor block, shards follow the kernel's
-        ``shard_align`` / ``shards_per_worker``, and counts fold in shard
-        order as the contiguous prefix advances — so ``next_lo`` keeps
-        exactly the serial driver's resume semantics.
+        is then its counts accumulator, each shard ships a counts vector,
+        shards follow the kernel's ``shard_align`` / ``shards_per_worker``,
+        and counts fold in shard order as the contiguous prefix advances.
+
+        Either way the serial loop's chunks (``CHUNK``, or
+        ``kernel.chunk``) are admitted in order and a shard is cut at one
+        the budget trips at, so a trip, its reason and ``next_lo`` are the
+        serial loop's (:meth:`SweepBackend.governed_sweep`,
+        :func:`~repro.perf.counts.run_governed`).
 
         Raises :class:`~repro.perf.supervise.ShardFailed` only when a
         poison shard *also* fails the serial inline fallback.
@@ -332,18 +329,19 @@ class ProcessBackend(SweepBackend):
         counts = kernel is not None
         lead = out.shape[:-1]  # () for successors and counts
         rows = math.prod(lead)
+        # The serial loop's chunk and scratch: the one admission rule.
         if counts:
+            chunk, transient = kernel.chunk, kernel.transient_bytes()
             align, parts = kernel.shard_align, kernel.shards_per_worker
-            transient = self.workers * kernel.transient_bytes()
         else:
+            chunk, transient = CHUNK, self.transient_bytes()
             align, parts = CHUNK, 4
             total = 1 << self.ca.n
-            transient = self._inner.transient_bytes()
         if start >= total:
             return total, None
-        shard_len = self._shard_len(
-            total - start, parts_per_worker=parts, align=align
-        )
+        # ~``parts`` shards per worker for load balance, ``align``-ed
+        per = (total - start) // (self.workers * parts) or total - start
+        shard_len = max(align, (per // align) * align)
         shards = [
             (lo, min(lo + shard_len, total))
             for lo in range(start, total, shard_len)
@@ -409,18 +407,18 @@ class ProcessBackend(SweepBackend):
             inflight: dict[int, shared_memory.SharedMemory] = {}
             status: dict[int, bool] = {}
             next_merge = 0  # first shard not yet folded into the prefix
-            uncharged = 0  # admitted states not yet charged to the budget
+            charged = start  # end of the completed-and-charged prefix
+            admitted = start  # end of the serial chunks admitted so far
             reason: str | None = None
             degraded = False
             winddown_at: float | None = None
 
             def _advance_prefix() -> None:
-                nonlocal next_merge, uncharged
+                nonlocal next_merge, charged
                 while next_merge < len(shards) and status.get(next_merge):
-                    lo, hi = shards[next_merge]
-                    states = rows * (hi - lo)
+                    lo, charged = shards[next_merge]
+                    states = rows * (charged - lo)
                     budget.charge(states=states, bytes_=math.ceil(per_state * states))
-                    uncharged -= states
                     if counts:
                         # Fold counts only as the charged prefix advances,
                         # so a truncated accumulator matches what a serial
@@ -428,27 +426,26 @@ class ProcessBackend(SweepBackend):
                         kernel.merge(out, shard_counts.pop(next_merge))
                     next_merge += 1
 
-            def _admit(lo: int, hi: int) -> tuple[int, str | None]:
-                """``(end, reason)``: shard ``[lo, hi)`` is admitted up to
-                ``end``, where the budget trips with ``reason`` (or None).
+            def _admit(hi: int) -> tuple[int, str | None]:
+                """``(end, reason)``: admit the serial loop's chunks up to
+                ``hi``, or up to ``end`` where one trips with ``reason``.
 
-                Every admitted-but-uncharged state is projected too, so a
-                trip lands where the serial loops' would, all prior work
-                charged: a fill shard is checked per ``CHUNK``, as the
-                serial chunk loop checks, and a counts shard whole, also
-                projecting its own states, as the serial counts loop does.
+                Each asks the serial loop's question with every
+                admitted-but-uncharged state projected too.
                 """
-                step = hi - lo if counts else CHUNK
-                for b in range(lo, hi, step):
-                    before = uncharged + rows * (b - lo)
-                    states = rows * (min(b + step, hi) - b)
+                nonlocal admitted
+                while admitted < hi:
+                    end = min(admitted + chunk, total)
+                    before = rows * (admitted - charged)
+                    states = rows * (end - admitted)
                     reason = budget.over(
                         pending_bytes=transient
                         + math.ceil(per_state * (before + states)),
                         pending_states=before + (states if counts else 0),
                     )
                     if reason is not None:
-                        return b, reason
+                        return admitted, reason
+                    admitted = end
                 return hi, None
 
             def _cleanup_shm(sid: int) -> None:
@@ -458,7 +455,7 @@ class ProcessBackend(SweepBackend):
                     shm.unlink()
 
             def _serial_shard(sid: int) -> None:
-                """Compute shard ``sid`` inline with the serial inner backend.
+                """Compute shard ``sid`` inline, with the workers' chunk loop.
 
                 The last line of defence: raises :class:`ShardFailed` when
                 the serial kernel fails too (with the full attempt history).
@@ -471,9 +468,10 @@ class ProcessBackend(SweepBackend):
                     try:
                         faults.inject("perf.process.fallback")
                         if counts:
-                            shard_counts[sid] = kernel.census_range(lo, hi)
+                            shard_counts[sid] = part = np.zeros_like(out)
                         else:
-                            out[..., sweep_entries(out.dtype, lo, hi)] = fill(lo, hi)
+                            part = out[..., sweep_entries(out.dtype, lo, hi)]
+                        _compute_shard(part, lo, hi, fill, kernel)
                     except Exception as exc:
                         lease.fail(None, repr(exc), traceback.format_exc())
                         raise ShardFailed(
@@ -574,11 +572,10 @@ class ProcessBackend(SweepBackend):
                         sid = pending[0]
                         lo, hi = shards[sid]
                         if sid not in inflight:
-                            # First dispatch: admit against the budget,
-                            # cutting the shard at a chunk that trips it.
-                            # Re-dispatches reuse the original admission
-                            # and buffer.
-                            hi, reason = _admit(lo, hi)
+                            # First dispatch: admit the chunks the shard
+                            # reaches, cutting it at one that trips.
+                            # Re-dispatches reuse the admission and buffer.
+                            hi, reason = _admit(hi)
                             if hi == lo:
                                 break
                             shards[sid] = (lo, hi)
@@ -591,7 +588,6 @@ class ProcessBackend(SweepBackend):
                             inflight[sid] = shared_memory.SharedMemory(
                                 create=True, size=out.itemsize * rows * entries
                             )
-                            uncharged += rows * (hi - lo)
                         if degraded:
                             pending.popleft()
                             _serial_shard(sid)
@@ -721,9 +717,8 @@ class ProcessBackend(SweepBackend):
                 for shm in inflight.values():
                     shm.close()
                     shm.unlink()
-            next_lo = shards[next_merge - 1][1] if next_merge else start
             sweep_span.set(
-                next_lo=next_lo,
+                next_lo=charged,
                 truncated=reason,
                 worker_deaths=supervisor.deaths,
                 respawns=supervisor.respawns,
@@ -731,4 +726,4 @@ class ProcessBackend(SweepBackend):
             )
             obs.inc("perf.process.sweeps")
             obs.inc("perf.process.shards_done", next_merge)
-            return next_lo, reason
+            return charged, reason

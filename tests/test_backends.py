@@ -331,6 +331,38 @@ class TestProcessBackend:
         assert serial[1] == n * serial[0]["next_lo"]
         assert fingerprint("process") == serial
 
+    def test_sequential_memory_cap_matches_serial(self):
+        # The pool's budget holds what its inner backend's serial loop
+        # holds, so the build's analysis gate admits on process exactly
+        # what it admits on bitplane.
+        builds = {
+            backend: build_nondet_phase_space(
+                make_ca(Ring(20), MajorityRule(), backend=backend, workers=2),
+                budget=Budget(mem_bytes=5 << 20),
+            )
+            for backend in ("bitplane", "process")
+        }
+        assert builds["process"].complete, builds["process"].reason
+        assert builds["bitplane"].complete
+        np.testing.assert_array_equal(
+            builds["process"].value.words, builds["bitplane"].value.words
+        )
+        assert builds["process"].value.summary() == builds["bitplane"].value.summary()
+
+    @pytest.mark.parametrize(
+        "space, rule, inner",
+        [
+            (Ring(20), MajorityRule(), "bitplane"),
+            (Ring(9, radius=3), _UNLOWERABLE, "numpy"),
+        ],
+        ids=["bitplane", "numpy"],
+    )
+    def test_transient_bytes_is_the_inner_backends(self, space, rule, inner):
+        ca = make_ca(space, rule, backend=inner)
+        backend = ProcessBackend(ca)
+        assert backend.describe().startswith(f"process[{inner} ")
+        assert backend.transient_bytes() == ca.backend.transient_bytes()
+
     @pytest.mark.parametrize("backend", ["bitplane", "process"])
     def test_ungoverned_sweeps_charge_nothing(self, backend):
         # step_all / node_successors see only the ambient cancel token and

@@ -14,7 +14,6 @@ import json
 import numpy as np
 import pytest
 
-from repro.analysis.census import build_attractor_census
 from repro.core.automaton import CellularAutomaton
 from repro.core.budget import Budget
 from repro.core.rules import MajorityRule, XorRule
@@ -32,6 +31,17 @@ def _ca(n: int, backend: str | None) -> CellularAutomaton:
     )
 
 
+def _kernel(name: str, n: int, backend: str | None, seed: int):
+    """``(kernel, sharded backend or None, total)`` of a counts run: the
+    attractor census of ``Ring(n)``, or 4096 MC samples in 256 lanes."""
+    ca = _ca(n, backend)
+    if name == "attractor":
+        kernel, total = AttractorKernel(ca), 1 << n
+    else:
+        kernel, total = McKernel.from_automaton(ca, seed=seed, lanes=256), 4096
+    return kernel, ca.backend if backend else None, total
+
+
 def _case(name: str, backend: str | None, seed: int):
     """``(kernel, sharded backend or None, total, states cap)`` of a case.
 
@@ -39,13 +49,8 @@ def _case(name: str, backend: str | None, seed: int):
     chunks, or after one of the four 1024-sample MC chunks.
     """
     if name == "attractor":
-        ca = _ca(17, backend)
-        kernel, total, cap = AttractorKernel(ca), 1 << 17, 70_000
-    else:
-        ca = _ca(16, backend)
-        kernel = McKernel.from_automaton(ca, seed=seed, lanes=256)
-        total, cap = 4096, 1536
-    return kernel, ca.backend if backend else None, total, cap
+        return (*_kernel(name, 17, backend, seed), 70_000)
+    return (*_kernel(name, 16, backend, seed), 1536)
 
 
 KERNELS = ["attractor", "mc"]
@@ -125,16 +130,54 @@ def _frontier_json(tmp_path, partial) -> dict:
     return meta
 
 
-def test_sharded_state_cap_matches_serial(tmp_path):
-    frontiers = {}
+#: ``(kernel, n, states cap, serial trip point)``.  The process pool
+#: admits the serial loop's chunks, whatever its shards: census shards of
+#: one 2**16-code chunk (n = 17), of two (n = 22), and eight 2**19-code
+#: shards inside one 2**22-code chunk (n = 24); MC shards of 512 samples,
+#: two to a 1024-sample chunk, under caps just at and past 1.5 chunks.
+CAP_CASES = [
+    pytest.param("attractor", 17, 70_000, 1 << 16, id="census17"),
+    pytest.param("attractor", 22, 100_000, 1 << 16, id="census22"),
+    pytest.param("attractor", 24, 7_340_032, 1 << 22, id="census24"),
+    pytest.param("mc", 16, 1536, 1024, id="mc1536"),
+    pytest.param("mc", 16, 1600, 1024, id="mc1600"),
+]
+
+
+@pytest.mark.parametrize("name, n, cap, next_lo", CAP_CASES)
+def test_sharded_state_cap_matches_serial(name, n, cap, next_lo, mc_seed, tmp_path):
+    frontiers, reasons = {}, {}
     for backend in (None, "process"):
-        partial = build_attractor_census(
-            _ca(17, backend), budget=Budget(max_states=70_000)
-        )
+        kernel, sharded, total = _kernel(name, n, backend, mc_seed)
+        partial = run_governed(kernel, total, Budget(max_states=cap), backend=sharded)
         assert not partial.complete
+        reasons[backend] = partial.reason
         frontiers[backend] = _frontier_json(tmp_path / str(backend), partial)
+        resumed = run_governed(
+            kernel, total, Budget(), load_frontier(tmp_path / str(backend)), sharded
+        )
+        whole = run_governed(kernel, total, Budget(), backend=sharded)
+        assert resumed.complete
+        assert np.array_equal(resumed.value, whole.value)
+        assert resumed.stats == whole.stats
     assert frontiers["process"] == frontiers[None]
-    assert frontiers[None]["next_lo"] == 1 << 16
+    assert reasons["process"] == reasons[None]
+    assert frontiers[None]["next_lo"] == next_lo
+
+
+@pytest.mark.parametrize("name, n", [("attractor", 18), ("mc", 1000)])
+def test_sharded_memory_cap_matches_serial(name, n, mc_seed):
+    # The budget holds one chunk of the kernel's scratch, serially or
+    # sharded (the other workers' scratch is outside it), so a ceiling of
+    # 1.5 chunks' worth completes both runs.
+    values = {}
+    for backend in (None, "process"):
+        kernel, sharded, total = _kernel(name, n, backend, mc_seed)
+        budget = Budget(mem_bytes=int(1.5 * kernel.transient_bytes()))
+        partial = run_governed(kernel, total, budget, backend=sharded)
+        assert partial.complete, partial.reason
+        values[backend] = partial.value
+    assert np.array_equal(values["process"], values[None])
 
 
 def test_mc_energy_gate_is_recomputed_per_call():

@@ -24,6 +24,7 @@ import os
 import signal
 import threading
 import time
+import tracemalloc
 import warnings
 from multiprocessing.connection import wait
 
@@ -326,6 +327,42 @@ class TestCountsChaos:
         sharded = build_mc_estimate(kernel(), 2048, backend=ca.backend)
         assert sharded.complete and sharded.value == serial.value
         assert counters().get("perf.process.worker_deaths", 0) >= 1
+
+
+class TestFallbackMemory:
+    """The parent's fallback computes a shard one serial chunk at a time,
+    so it holds the one chunk of inner scratch that admission projected,
+    not a shard's worth (eight chunks at n = 22)."""
+
+    @pytest.mark.parametrize("n", [20, 22])
+    @pytest.mark.parametrize("mode", ["poison", "collapse"])
+    def test_fallback_peak_within_projection(self, mode, n, monkeypatch):
+        if mode == "collapse":
+            monkeypatch.setenv(supervise.MAX_WORKER_DEATHS_ENV, "1")
+            monkeypatch.setenv(supervise.MAX_SHARD_RETRIES_ENV, "100")
+            faults.install("perf.worker.*:worker-crash:1.0:0")
+        else:
+            faults.install("perf.worker.*:worker-poison:1.0:0")
+        ca = CellularAutomaton(Ring(n), MajorityRule(), backend="bitplane")
+        backend = ProcessBackend(ca, workers=2)
+        out = np.empty(1 << n, dtype=np.int64)
+        tracemalloc.start()
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                swept = backend.governed_sweep(
+                    out, Budget(), fill=backend.step_all_range
+                )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert swept == (1 << n, None)
+        np.testing.assert_array_equal(out, ca.step_all())
+        if mode == "collapse":
+            assert gauges().get("perf.process.degraded") == 1
+        else:
+            assert counters().get("perf.process.poison_shards", 0) == 8
+        assert peak <= ca.backend.transient_bytes() + (256 << 10)
 
 
 class TestResultPipes:
