@@ -17,6 +17,7 @@ pinned here:
 """
 
 import io
+import statistics
 import time
 
 import pytest
@@ -87,9 +88,10 @@ def test_progress_overhead_under_one_percent(benchmark):
 
     Measure the per-charge hook cost over many chunk-sized charges, scale
     to the charge count an n=24 parallel build performs, and require that
-    total to be under 1% of the *n=18* build's measured wall time — a
-    deliberately stricter denominator, since the n=24 build is ~64x
-    longer but performs only 64x the (still tiny) hook calls.
+    total to be under 1% of the *n=18* build's median wall time over 5
+    warm builds — a deliberately stricter denominator, since the n=24
+    build is ~64x longer but performs only 64x the (still tiny) hook
+    calls.
     """
     rounds = 4096
     budget = Budget()
@@ -102,15 +104,19 @@ def test_progress_overhead_under_one_percent(benchmark):
 
     per_charge = _median_s(benchmark, charge_many) / rounds
 
-    t0 = time.perf_counter()
-    _build(Budget())
-    build_s = time.perf_counter() - t0
+    _build(Budget())  # warm-up: the first build in a process is the slow one
+    builds = []
+    for _ in range(5):
+        t0 = time.perf_counter()
+        _build(Budget())
+        builds.append(time.perf_counter() - t0)
+    build_s = statistics.median(builds)
 
     charges_n24 = (1 << TARGET_N) // CHUNK  # 256 chunk charges
     overhead_s = per_charge * charges_n24
     assert overhead_s < 0.01 * build_s, (
         f"projected n={TARGET_N} progress overhead {overhead_s:.6f}s is not "
-        f"<1% of the measured n={N} build ({build_s:.3f}s)"
+        f"<1% of the median n={N} build ({build_s:.3f}s)"
     )
 
 

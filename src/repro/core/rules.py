@@ -126,7 +126,7 @@ class UpdateRule(ABC):
         """``profile[c]`` = next state when exactly ``c`` of ``width``
         inputs are 1, or ``None`` when the rule is not totalistic at this
         width.  Totalistic rules are exactly what the ``bitplane`` backend
-        lowers to carry-save-adder kernels."""
+        lowers to count-profile kernels (at-least-``j`` count planes)."""
         return None
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

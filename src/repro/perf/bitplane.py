@@ -10,10 +10,12 @@ all.  Each node's rule is lowered to a pure bitwise kernel
 (:func:`lower_bit_kernel`):
 
 * ``parity`` — XOR of the input planes (the paper's XOR rule);
-* ``profile`` — a carry-save adder sums the input planes into binary
-  count planes, then the totalistic count profile (MAJORITY, simple
-  threshold, any :class:`~repro.core.rules.SymmetricRule`) is an OR of
-  count minterms — 64 configurations per bitwise op;
+* ``profile`` — a totalistic count profile (MAJORITY, simple
+  threshold, any :class:`~repro.core.rules.SymmetricRule`) from
+  at-least-``j`` count planes, one AND and one OR per input and level,
+  XORed at the counts where the profile changes value; a threshold or
+  MAJORITY rule is the single level ``count >= theta`` (4 word ops for
+  MAJORITY-3) — 64 configurations per bitwise op;
 * ``table`` — small fixed-arity truth tables (elementary/Wolfram rules)
   as a sum-of-products over the input planes.
 
@@ -122,6 +124,57 @@ def _minterm_or(
     return out
 
 
+def _count_profile(
+    profile: np.ndarray, inputs: list[np.ndarray], nwords
+) -> np.ndarray:
+    """``profile[count of ones]`` per bit, by at-least-``j`` levels.
+
+    Level ``j`` is the plane of ``count >= j`` over the inputs seen so
+    far; an input ``x`` lifts it as ``ge[j] |= x & ge[j - 1]``, top level
+    first (level 0 is all ones).  The profile changes value exactly at its
+    transition counts ``t``, so it is ``profile[0]`` XOR every ``ge[t]``,
+    and only the levels some transition can still reach are kept: those in
+    ``[t_min - inputs left, min(inputs seen, t_max)]``.  A step profile
+    (every threshold and MAJORITY rule) is the one level ``ge[theta]``.
+    Inputs are only read; the result is a fresh array.
+    """
+    p = profile.tolist()
+    steps = [t for t in range(1, len(p)) if p[t] != p[t - 1]]
+    if not steps:
+        return np.full(nwords, _ONES if p[0] else 0, dtype=np.uint64)
+    k, t_min, t_max = len(inputs), steps[0], steps[-1]
+    first = inputs[0]
+    ge = {1: first}  # every level but this first one is a buffer of ours
+    spare: list[np.ndarray] = []  # our buffers that no level holds
+    for m in range(2, k + 1):
+        x = inputs[m - 1]
+        lo = max(1, t_min - (k - m))
+        for j in range(min(m, t_max), lo - 1, -1):
+            if j == 1:
+                g = ge[1]
+                ge[1] = np.bitwise_or(g, x, out=None if g is first else g)
+                continue
+            below = ge[j - 1]
+            if j - 1 < lo and below is not first:
+                lift = np.bitwise_and(below, x, out=below)  # its last read
+            else:
+                lift = np.bitwise_and(below, x, out=spare.pop() if spare else None)
+            g = ge.get(j)
+            if g is None:  # the new top level
+                ge[j] = lift
+            else:
+                np.bitwise_or(g, lift, out=g)
+                spare.append(lift)
+        ge.pop(lo - 1, None)
+    out = ge[steps[0]]
+    out = out.copy() if out is first else out
+    for t in steps[1:]:
+        np.bitwise_xor(out, ge[t], out=out)
+    if p[0]:
+        np.invert(out, out=out)
+    return out
+
+
 def eval_bit_kernel(
     kernel: tuple, inputs: list[np.ndarray], nwords: int
 ) -> np.ndarray:
@@ -130,7 +183,9 @@ def eval_bit_kernel(
     ``inputs`` need not come from consecutive-code generation — the
     attractor kernel feeds *trajectory* planes through the very same
     lowering the sweep backend compiled, so both paths share one
-    arithmetic implementation.
+    arithmetic implementation.  ``nwords`` is the planes' shape (an int,
+    or ``(rows, words)`` for node-major blocks); the inputs are never
+    written, and the result is a fresh array.
     """
     kind, data = kernel
     if kind == "parity":
@@ -139,38 +194,13 @@ def eval_bit_kernel(
             out ^= plane
         return out
     if kind == "profile":
-        sums = _popcount_planes(inputs, nwords)
-        ones = np.flatnonzero(data)
-        # Evaluate whichever side of the profile has fewer minterms.
-        if ones.size * 2 > data.size:
-            zeros = np.flatnonzero(data == 0)
-            return ~_minterm_or(zeros, sums, nwords, len(sums))
-        return _minterm_or(ones, sums, nwords, len(sums))
+        return _count_profile(data, inputs, nwords)
     # kind == "table": sum-of-products over the raw input planes.
     ones = np.flatnonzero(data)
     if ones.size * 2 > data.size:
         zeros = np.flatnonzero(data == 0)
         return ~_minterm_or(zeros, inputs, nwords, len(inputs))
     return _minterm_or(ones, inputs, nwords, len(inputs))
-
-
-def _popcount_planes(planes: list[np.ndarray], nwords: int) -> list[np.ndarray]:
-    """Binary count planes (little-endian) of per-bit sums of ``planes``.
-
-    A ripple-carry counter: adding each input plane to the running binary
-    counter costs two bitwise ops per existing count plane, so the whole
-    sum is ``O(k log k)`` word operations for ``k`` inputs.
-    """
-    sums: list[np.ndarray] = []
-    for plane in planes:
-        carry = plane.copy()
-        for s in range(len(sums)):
-            sums[s], carry = sums[s] ^ carry, sums[s] & carry
-        if len(sums) < max(1, len(planes)).bit_length():
-            sums.append(carry)
-    if not sums:
-        sums.append(np.zeros(nwords, dtype=np.uint64))
-    return sums
 
 
 class BitplaneBackend(SweepBackend):
@@ -244,5 +274,6 @@ class BitplaneBackend(SweepBackend):
     def transient_bytes(self) -> int:
         n = self.ca.n
         # the flip words (n/8 per configuration) beside the input-plane
-        # cache and adder/minterm scratch, or the encoder (two int64s, a row)
+        # cache and count-level/minterm scratch, or the encoder (two int64s,
+        # a row)
         return chunk_configs(n) * (n // 8 + 1 + max((n + 1) // 8 + 5, 17))

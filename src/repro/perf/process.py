@@ -580,14 +580,17 @@ class ProcessBackend(SweepBackend):
                                 break
                             shards[sid] = (lo, hi)
                             leases[sid].hi = hi
-                            entries = (
-                                kernel.counts_slots
-                                if counts
-                                else sweep_entries(out.dtype, 0, hi - lo).stop
-                            )
-                            inflight[sid] = shared_memory.SharedMemory(
-                                create=True, size=out.itemsize * rows * entries
-                            )
+                            if not degraded:
+                                # Only a shard handed to a worker needs a
+                                # segment; an inline one writes ``out``.
+                                entries = (
+                                    kernel.counts_slots
+                                    if counts
+                                    else sweep_entries(out.dtype, 0, hi - lo).stop
+                                )
+                                inflight[sid] = shared_memory.SharedMemory(
+                                    create=True, size=out.itemsize * rows * entries
+                                )
                         if degraded:
                             pending.popleft()
                             _serial_shard(sid)

@@ -81,6 +81,63 @@ def _mutant_bitplane_parity_drop():
     ]
 
 
+def _mutant_count_profile_live_reuse():
+    """Count-profile recurrence takes the lowest live level one too high.
+
+    A level's buffer may be reused in place once no later level reads it:
+    the level just below the lowest live one.  This one also reuses the
+    lowest live level, ANDing the input into it while that level is still
+    to be lifted, so its count drops what the inputs before summed and a
+    buffer ends up held twice.  A step profile at width 3 (MAJORITY r = 1)
+    never keeps two levels below its top, so only wider windows and
+    non-step profiles reach it.  Patches the private helper that
+    :func:`~repro.perf.bitplane.eval_bit_kernel` calls, so the sweep
+    backend, the attractor kernel and the MC kernel all run it.
+    """
+
+    def _count_profile(profile, inputs, nwords):
+        p = profile.tolist()
+        steps = [t for t in range(1, len(p)) if p[t] != p[t - 1]]
+        if not steps:
+            return np.full(nwords, ~np.uint64(0) if p[0] else 0, dtype=np.uint64)
+        k, t_min, t_max = len(inputs), steps[0], steps[-1]
+        first = inputs[0]
+        ge = {1: first}
+        spare = []
+        for m in range(2, k + 1):
+            x = inputs[m - 1]
+            lo = max(1, t_min - (k - m))
+            for j in range(min(m, t_max), lo - 1, -1):
+                if j == 1:
+                    g = ge[1]
+                    ge[1] = np.bitwise_or(g, x, out=None if g is first else g)
+                    continue
+                below = ge[j - 1]
+                # BUG: <= reuses the lowest live level, not just the dying one
+                if j - 1 <= lo and below is not first:
+                    lift = np.bitwise_and(below, x, out=below)
+                else:
+                    lift = np.bitwise_and(
+                        below, x, out=spare.pop() if spare else None
+                    )
+                g = ge.get(j)
+                if g is None:
+                    ge[j] = lift
+                else:
+                    np.bitwise_or(g, lift, out=g)
+                    spare.append(lift)
+            ge.pop(lo - 1, None)
+        out = ge[steps[0]]
+        out = out.copy() if out is first else out
+        for t in steps[1:]:
+            np.bitwise_xor(out, ge[t], out=out)
+        if p[0]:
+            np.invert(out, out=out)
+        return out
+
+    return [(bitplane, "_count_profile", _count_profile)]
+
+
 def _mutant_quotient_reflection_drop():
     """Dihedral quotient forgets to minimize over reflections.
 
@@ -281,6 +338,7 @@ def _mutant_mc_energy_wrap_drop():
 MUTANTS = {
     "bitplane-stale-bit": _mutant_bitplane_stale_bit,
     "bitplane-parity-drop": _mutant_bitplane_parity_drop,
+    "count-profile-live-reuse": _mutant_count_profile_live_reuse,
     "quotient-reflection-drop": _mutant_quotient_reflection_drop,
     "necklace-period-drop": _mutant_necklace_period_drop,
     "cycle-mask-round-early": _mutant_cycle_mask_round_early,

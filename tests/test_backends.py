@@ -43,6 +43,7 @@ from repro.perf import (
     resolve_backend,
 )
 from repro.perf.base import sweep_entries
+from repro.perf.bitplane import eval_bit_kernel
 from repro.spaces.graph import GraphSpace
 from repro.spaces.line import Line, Ring
 from repro.util.bitops import config_str, int_to_bits
@@ -532,6 +533,62 @@ class TestBitKernelLowering:
     def test_arbitrary_table_lowers_to_sop(self):
         kind, _ = lower_bit_kernel(WolframRule(110), 3)
         assert kind in ("table", "profile", "parity")
+
+
+def _profiles(width: int, rng) -> list[np.ndarray]:
+    """Every count profile of ``width`` inputs to 7, else 300 random ones."""
+    if width <= 7:
+        codes = range(1 << (width + 1))
+    else:
+        codes = rng.integers(0, 1 << (width + 1), 300).tolist()
+    return [
+        np.array([(c >> t) & 1 for t in range(width + 1)], dtype=np.uint8)
+        for c in codes
+    ]
+
+
+class TestCountProfileKernel:
+    """``eval_bit_kernel`` on a ``profile`` kernel against per-lane counting.
+
+    The reference shares nothing with the kernel: unpack every input's
+    lanes, count the ones, look the count up in the profile and pack the
+    bits back.  Row 0 of the planes holds all ``2**width`` input
+    combinations (512 lanes), row 1 random lanes.
+    """
+
+    @pytest.mark.parametrize("width", range(10))
+    def test_matches_unpacked_count(self, width):
+        rng = np.random.default_rng(width)
+        lane = np.arange(512)
+        blocks = [
+            np.stack(
+                [
+                    np.packbits((lane >> j) & 1, bitorder="little").view(np.uint64),
+                    rng.integers(0, 1 << 64, 8, dtype=np.uint64),
+                ]
+            )
+            for j in range(width)
+        ]
+        for shape, inputs in (
+            ((2, 8), blocks),
+            (8, [b[0].copy() for b in blocks]),
+        ):
+            count = np.zeros(64 * np.prod(shape, dtype=int), dtype=np.int64)
+            for x in inputs:
+                count += np.unpackbits(x.view(np.uint8), bitorder="little")
+            before = [x.copy() for x in inputs]
+            for profile in _profiles(width, rng):
+                out = eval_bit_kernel(("profile", profile), inputs, shape)
+                assert out.shape == np.empty(shape).shape
+                assert out.dtype == np.uint64
+                np.testing.assert_array_equal(
+                    out.view(np.uint8).ravel(),
+                    np.packbits(profile[count], bitorder="little"),
+                    err_msg=str(profile),
+                )
+                for x, old in zip(inputs, before):
+                    np.testing.assert_array_equal(x, old)
+                    assert not np.shares_memory(out, x)
 
 
 class TestPhaseSpaceIndexes:

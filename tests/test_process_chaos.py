@@ -364,6 +364,35 @@ class TestFallbackMemory:
             assert counters().get("perf.process.poison_shards", 0) == 8
         assert peak <= ca.backend.transient_bytes() + (256 << 10)
 
+    def test_collapse_creates_segments_only_for_worker_shards(self, monkeypatch):
+        # Ring(20) sweeps in 8 shards; both workers die on their first one
+        # and the pool collapses, so the parent computes the other 6 inline
+        # straight into ``out``, with no shared-memory segment of their own.
+        monkeypatch.setenv(supervise.MAX_WORKER_DEATHS_ENV, "1")
+        monkeypatch.setenv(supervise.MAX_SHARD_RETRIES_ENV, "100")
+        faults.install("perf.worker.*:worker-crash:1.0:0")
+        created = []
+        real = procmod.shared_memory.SharedMemory
+
+        def counting(*args, **kwargs):
+            if kwargs.get("create"):
+                created.append(kwargs["size"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(procmod.shared_memory, "SharedMemory", counting)
+        ca = CellularAutomaton(Ring(20), MajorityRule(), backend="bitplane")
+        backend = ProcessBackend(ca, workers=2)
+        out = np.empty(1 << 20, dtype=np.int64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            swept = backend.governed_sweep(
+                out, Budget(), fill=backend.step_all_range
+            )
+        assert swept == (1 << 20, None)
+        np.testing.assert_array_equal(out, ca.step_all())
+        assert gauges().get("perf.process.degraded") == 1
+        assert 1 <= len(created) <= backend.workers
+
 
 class TestResultPipes:
     """Each worker writes its own pipe: one death never blocks the rest."""
