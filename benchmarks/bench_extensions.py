@@ -60,7 +60,7 @@ def test_heterogeneous_phase_space(benchmark, rng):
 
     def build():
         ps = PhaseSpace(het.step_all(), 12)
-        nps = NondetPhaseSpace(het.all_node_successors(), 12)
+        nps = NondetPhaseSpace.from_automaton(het)
         return ps, nps
 
     ps, nps = benchmark(build)

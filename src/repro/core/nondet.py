@@ -51,7 +51,6 @@ from repro.perf.base import MAX_SWEEP_N, flip_row_words
 from repro.util.bitops import (
     config_str,
     flip_lanes,
-    pack_lanes,
     popcount_words,
     unpack_lanes,
 )
@@ -120,43 +119,22 @@ class NondetPhaseSpace:
     """The full sequential (one-node-at-a-time) phase space of an automaton.
 
     ``flips`` is the ``(n, max(1, 2**n / 64))`` ``uint64`` flip words
-    (:meth:`CellularAutomaton.flips`), or an ``(n, 2**n)`` bool flip
-    matrix or integer successor matrix (rows of
-    :meth:`CellularAutomaton.node_successors`), packed once each integer
-    row ``i`` is checked to change no bit but bit ``i``.
+    (:meth:`CellularAutomaton.flips`), padding bits zero.
     """
 
     def __init__(self, flips: np.ndarray, n_nodes: int):
         flips = np.asarray(flips)
         size, nwords = 1 << n_nodes, flip_row_words(n_nodes)
-        if flips.dtype == np.uint64 and flips.shape == (n_nodes, nwords):
-            if size < 64 and (flips >> np.uint64(size)).any():
-                raise ValueError(
-                    f"flip words set padding bits past configuration {size - 1}"
-                )
-            words = flips
-        elif flips.shape == (n_nodes, size):
-            if flips.dtype != bool:
-                changed = flips.astype(np.int64)
-                changed ^= np.arange(size, dtype=np.int64)
-                own_bit = np.int64(1) << np.arange(n_nodes, dtype=np.int64)[:, None]
-                stray = np.flatnonzero((changed & ~own_bit).any(axis=1))
-                if stray.size:
-                    raise ValueError(
-                        f"row {stray[0]} of the node successor matrix changes a "
-                        f"bit other than bit {stray[0]}"
-                    )
-                flips = changed != 0
-            if size < 64:
-                flips = np.pad(flips, ((0, 0), (0, 64 - size)))
-            words = pack_lanes(flips.ravel()).reshape(n_nodes, nwords)
-        else:
+        if flips.dtype != np.uint64 or flips.shape != (n_nodes, nwords):
             raise ValueError(
-                f"flip or successor matrix has shape {flips.shape}, expected "
-                f"({n_nodes}, {nwords}) uint64 flip words or "
-                f"({n_nodes}, {size})"
+                f"flip words have dtype {flips.dtype} and shape {flips.shape}, "
+                f"expected ({n_nodes}, {nwords}) uint64"
             )
-        self.words = words
+        if size < 64 and (flips >> np.uint64(size)).any():
+            raise ValueError(
+                f"flip words set padding bits past configuration {size - 1}"
+            )
+        self.words = flips
         self.n_nodes = n_nodes
         #: the peel's verdict, once decided (:meth:`has_proper_cycle`)
         self._cyclic: bool | None = None

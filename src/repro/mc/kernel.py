@@ -41,7 +41,7 @@ from repro.mc.estimators import (
 from repro.perf.base import BackendUnsupported
 from repro.perf.bitplane import eval_bit_kernel, lower_bit_kernel
 from repro.spaces.line import Ring
-from repro.util.bitops import lane_counts, unpack_lanes
+from repro.util.bitops import lane_counts, lane_diff, unpack_lanes
 
 __all__ = ["McKernel", "MC_TILE_WORDS", "count_threshold"]
 
@@ -334,23 +334,6 @@ class McKernel:
 
     # -- batch classification --------------------------------------------------
 
-    @staticmethod
-    def _lane_diff(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Lane mask of lanes where the two states differ anywhere.
-
-        The node axis is OR-reduced by halving, in place: the top half of
-        the rows is ORed into the bottom half until one row is left, each
-        pass one contiguous block op (``np.bitwise_or.reduce`` along axis
-        0 runs row by row, several times slower at a few words a row).
-        """
-        diff = np.bitwise_xor(a, b)
-        rows = diff.shape[0]
-        while rows > 1:
-            half = rows >> 1
-            np.bitwise_or(diff[:half], diff[rows - half : rows], out=diff[:half])
-            rows -= half
-        return diff[0].copy()
-
     def _run_batch(self, counts: np.ndarray, batch_lo: int) -> None:
         """Sample, run, and classify one ``lanes``-wide batch into counts."""
         planes = sampler.sample_planes(
@@ -374,13 +357,13 @@ class McKernel:
         for t in range(self.horizon):
             nxt = self.step(cur)
             steps += 1
-            live_fp = ~self._lane_diff(cur, nxt) & ~done
+            live_fp = ~lane_diff(cur, nxt) & ~done
             if live_fp.any():
                 fp_mask |= live_fp
                 done |= live_fp
                 conv_t[unpack_lanes(live_fp, self.lanes)] = t
             if prev is not None:
-                live_2c = ~self._lane_diff(prev, nxt) & ~done
+                live_2c = ~lane_diff(prev, nxt) & ~done
                 if live_2c.any():
                     two_mask |= live_2c
                     done |= live_2c

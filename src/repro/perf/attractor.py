@@ -3,10 +3,11 @@
 The materialized pipeline stores the full ``2**n`` successor array and
 analyses it (:mod:`repro.analysis.cycles`), which caps exact sweeps at
 ``MAX_SWEEP_N``.  This kernel never stores the global map: it packs 64
-*trajectories* into each ``uint64`` word — plane ``j``, word ``w``, bit
-``t`` holds bit ``j`` of trajectory lane ``64*w + t`` — and advances all
-lanes through the same lowered bitwise kernels the sweep backend compiles
-(:func:`repro.perf.bitplane.eval_bit_kernel`).  Brent's cycle-finding
+*trajectories* into each ``uint64`` word of an ``(n + 1, words)`` plane
+array — row ``j``, word ``w``, bit ``t`` holds bit ``j`` of trajectory
+lane ``64*w + t``, and row ``n`` is zero — and advances all lanes
+through the sweep backend's node loop
+(:func:`repro.perf.bitplane.step_planes`).  Brent's cycle-finding
 runs per lane with vectorized counters: lanes that meet their hare are
 retired via bitmask blending, and words with no live lane are compacted
 out of the working set, so converged trajectories stop costing work.
@@ -25,8 +26,10 @@ import sys
 import numpy as np
 
 from repro.perf.base import CHUNK, MAX_ATTRACTOR_N, BackendUnsupported
-from repro.perf.bitplane import eval_bit_kernel, lower_nodes
-from repro.util.bitops import pack_lanes, unpack_lanes
+# eval_bit_kernel is called through step_planes; the name stays bound here
+# because the repository benchmark's tracer patches it by module.
+from repro.perf.bitplane import eval_bit_kernel, lower_nodes, step_planes  # noqa: F401
+from repro.util.bitops import lane_diff, pack_lanes, unpack_lanes
 
 __all__ = [
     "AttractorKernel",
@@ -39,7 +42,7 @@ __all__ = [
 ]
 
 #: trajectory lanes advanced per Brent batch (memory: ~6 plane sets of
-#: n * LANES/64 words each — a few MB at n=32, far under any budget)
+#: (n + 1) * LANES/64 words each — a few MB at n=32, far under any budget)
 LANES = 1 << 18
 
 #: code-range chunk of big attractor censuses (serial governed chunks and
@@ -106,7 +109,7 @@ class AttractorKernel:
     #: sweeps for load balance and short shard leases even at n=32
     shards_per_worker = 16
 
-    def __init__(self, ca, quotient=None, lanes: int = LANES):
+    def __init__(self, ca, quotient=None):
         reason = self.supports(ca)
         if reason is not None:
             raise BackendUnsupported(
@@ -123,7 +126,7 @@ class AttractorKernel:
         self.ca = ca
         self.n = ca.n
         self.quotient = quotient
-        self.lanes = max(64, lanes)
+        self.lanes = LANES
         self.chunk = CHUNK if 1 << self.n <= ATTRACTOR_CHUNK else ATTRACTOR_CHUNK
         self._kernels, self._windows = lower_nodes(ca)
 
@@ -150,42 +153,23 @@ class AttractorKernel:
 
     # -- trajectory planes -----------------------------------------------------
 
-    def _make_planes(self, codes: np.ndarray) -> list[np.ndarray]:
-        """Pack lane codes (length a multiple of 64) into ``n`` bit planes."""
-        return [
-            pack_lanes(((codes >> np.uint64(j)) & np.uint64(1)).astype(np.uint8))
-            for j in range(self.n)
-        ]
+    def _make_planes(self, codes: np.ndarray) -> np.ndarray:
+        """Pack lane codes (a multiple of 64 of them) into ``(n + 1, words)``
+        bit planes, the last row zero (:func:`step_planes`)."""
+        planes = np.zeros((self.n + 1, codes.size >> 6), dtype=np.uint64)
+        for j in range(self.n):
+            bits = ((codes >> np.uint64(j)) & np.uint64(1)).astype(np.uint8)
+            planes[j] = pack_lanes(bits)
+        return planes
 
-    def _step(self, planes: list[np.ndarray]) -> list[np.ndarray]:
+    def _step(self, planes: np.ndarray) -> np.ndarray:
         """One synchronous global step of every lane."""
-        nwords = planes[0].size
-        zero = np.zeros(nwords, dtype=np.uint64)
-        out = []
-        for i in range(self.n):
-            inputs = [
-                planes[src] if src < self.n else zero
-                for src in self._windows[i].tolist()
-            ]
-            out.append(eval_bit_kernel(self._kernels[i], inputs, nwords))
-        return out
+        return step_planes(self._kernels, self._windows, planes)
 
     @staticmethod
-    def _neq_words(a: list[np.ndarray], b: list[np.ndarray]) -> np.ndarray:
-        """Word mask with lane bit set iff the lane's states differ."""
-        neq = a[0] ^ b[0]
-        for pa, pb in zip(a[1:], b[1:]):
-            neq = neq | (pa ^ pb)
-        return neq
-
-    @staticmethod
-    def _blend(
-        dst: list[np.ndarray], src: list[np.ndarray], mask: np.ndarray
-    ) -> None:
+    def _blend(dst: np.ndarray, src: np.ndarray, mask: np.ndarray) -> None:
         """``dst = src`` on masked lanes, unchanged elsewhere (in place)."""
-        inv = ~mask
-        for j in range(len(dst)):
-            dst[j] = (src[j] & mask) | (dst[j] & inv)
+        dst ^= (dst ^ src) & mask
 
     # -- Brent cycle classification --------------------------------------------
 
@@ -210,10 +194,10 @@ class AttractorKernel:
         on_cycle = self._on_cycle(x0, lam_out)
         return lam_out[:m], on_cycle[:m]
 
-    def _brent_lambda(self, x0: list[np.ndarray]) -> np.ndarray:
+    def _brent_lambda(self, x0: np.ndarray) -> np.ndarray:
         """Vectorized Brent phase A: per-lane cycle length ``lam``."""
-        m64 = x0[0].size << 6
-        tort = [p.copy() for p in x0]
+        m64 = x0.shape[1] << 6
+        tort = x0.copy()
         hare = self._step(x0)
         lane_idx = np.arange(m64, dtype=np.int64)
         power = np.ones(m64, dtype=np.int64)
@@ -221,7 +205,7 @@ class AttractorKernel:
         active = np.ones(m64, dtype=bool)
         lam_out = np.zeros(m64, dtype=np.int64)
         while True:
-            eq = ~unpack_lanes(self._neq_words(tort, hare), active.size)
+            eq = ~unpack_lanes(lane_diff(tort, hare), active.size)
             done = active & eq
             if done.any():
                 lam_out[lane_idx[done]] = lam[done]
@@ -236,8 +220,8 @@ class AttractorKernel:
                     sel = (
                         keep[:, None] * 64 + np.arange(64, dtype=np.int64)
                     ).ravel()
-                    tort = [p[keep] for p in tort]
-                    hare = [p[keep] for p in hare]
+                    tort = tort.take(keep, axis=1)
+                    hare = hare.take(keep, axis=1)
                     lane_idx = lane_idx[sel]
                     power = power[sel]
                     lam = lam[sel]
@@ -251,14 +235,12 @@ class AttractorKernel:
             hare = self._step(hare)
             lam += active
 
-    def _on_cycle(
-        self, x0: list[np.ndarray], lam: np.ndarray
-    ) -> np.ndarray:
+    def _on_cycle(self, x0: np.ndarray, lam: np.ndarray) -> np.ndarray:
         """Which lanes sit on their own cycle: does ``f**lam`` fix them?"""
-        final = [p.copy() for p in x0]
-        cur = [p.copy() for p in x0]
+        final = x0.copy()
+        cur = x0.copy()
         rem = lam.copy()
-        word_idx = np.arange(x0[0].size, dtype=np.int64)
+        word_idx = np.arange(x0.shape[1], dtype=np.int64)
         while True:
             active = rem > 0
             word_live = active.reshape(-1, 64).any(axis=1)
@@ -266,9 +248,8 @@ class AttractorKernel:
                 keep = np.flatnonzero(word_live)
                 drop = np.flatnonzero(~word_live)
                 # Scatter finished words back before compacting them away.
-                for j in range(self.n):
-                    final[j][word_idx[drop]] = cur[j][drop]
-                    cur[j] = cur[j][keep]
+                final[:, word_idx[drop]] = cur.take(drop, axis=1)
+                cur = cur.take(keep, axis=1)
                 word_idx = word_idx[keep]
                 rem = rem.reshape(-1, 64)[keep].ravel()
                 if word_idx.size == 0:
@@ -277,7 +258,7 @@ class AttractorKernel:
             stepped = self._step(cur)
             self._blend(cur, stepped, pack_lanes(active))
             rem -= active
-        return ~unpack_lanes(self._neq_words(final, x0), lam.size)
+        return ~unpack_lanes(lane_diff(final, x0), lam.size)
 
     # -- census ----------------------------------------------------------------
 
@@ -319,7 +300,7 @@ class AttractorKernel:
         """Peak per-chunk scratch bytes (deterministic budget charging).
 
         Six plane sets (x0, tortoise, hare, final, current, one step
-        output) of ``n`` planes over ``lanes/64`` words; the padded lane
+        output) of ``n + 1`` planes over ``lanes/64`` words; the padded lane
         codes and Brent's per-lane int64 counters; plus what the
         quotient's input stage holds for one enumeration sub-range
         (:meth:`~repro.analysis.quotient.QuotientSpec.scratch_bytes`),
@@ -327,6 +308,6 @@ class AttractorKernel:
         their lanes classify.
         """
         plane_words = self.lanes >> 6
-        planes = 6 * self.n * plane_words * 8
+        planes = 6 * (self.n + 1) * plane_words * 8
         per_lane = 5 * self.lanes * 8
         return planes + per_lane + self.quotient.scratch_bytes(ENUM_CHUNK)

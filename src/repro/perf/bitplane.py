@@ -1,13 +1,15 @@
 """Bit-plane (SWAR) sweep backend: 64 configurations per machine word.
 
 A chunk of consecutive configuration codes ``lo .. hi-1`` is represented
-as ``n`` *bit planes*: plane ``j`` is a ``uint64`` array whose word ``w``,
-bit ``t``, holds bit ``j`` of configuration ``lo + 64*w + t``.  Because
-the codes are consecutive, every input plane is free to generate — plane
-``j < 6`` is a constant repeating pattern and plane ``j >= 6`` is
-constant within each word — so the sweep never unpacks configurations at
-all.  Each node's rule is lowered to a pure bitwise kernel
-(:func:`lower_bit_kernel`):
+as an ``(n + 1, words)`` ``uint64`` array of *bit planes*: word ``w``,
+bit ``t`` of row ``j`` holds bit ``j`` of configuration ``lo + 64*w + t``,
+and row ``n`` is zero for the window sentinel.  Because the codes are
+consecutive, every input plane is free to generate — plane ``j < 6`` is
+a constant repeating pattern and plane ``j >= 6`` is constant within
+each word — so the sweep never unpacks configurations at all.  One node
+loop (:func:`step_planes`) steps such planes, whatever the lanes hold:
+it also advances the attractor kernel's trajectories.  Each node's rule
+is lowered to a pure bitwise kernel (:func:`lower_bit_kernel`):
 
 * ``parity`` — XOR of the input planes (the paper's XOR rule);
 * ``profile`` — a totalistic count profile (MAJORITY, simple
@@ -39,6 +41,7 @@ __all__ = [
     "lower_bit_kernel",
     "lower_nodes",
     "eval_bit_kernel",
+    "step_planes",
     "MAX_SOP_WIDTH",
 ]
 
@@ -91,7 +94,7 @@ def lower_nodes(ca):
     """
     lowered: dict[tuple[int, int], tuple | None] = {}
     kernels: list[tuple] = []
-    windows: list[np.ndarray] = []
+    windows: list[list[int]] = []
     for i in range(ca.n):
         rule = ca.rule_at(i)
         width = int(ca._lengths[i])
@@ -104,7 +107,7 @@ def lower_nodes(ca):
                 f"at window width {width}"
             )
         kernels.append(lowered[key])
-        windows.append(np.asarray(ca._windows[i][:width], dtype=np.int64))
+        windows.append(ca._windows[i][:width].tolist())
     return kernels, windows
 
 
@@ -181,11 +184,11 @@ def eval_bit_kernel(
     """Evaluate a lowered bitwise kernel over arbitrary input planes.
 
     ``inputs`` need not come from consecutive-code generation — the
-    attractor kernel feeds *trajectory* planes through the very same
-    lowering the sweep backend compiled, so both paths share one
-    arithmetic implementation.  ``nwords`` is the planes' shape (an int,
-    or ``(rows, words)`` for node-major blocks); the inputs are never
-    written, and the result is a fresh array.
+    attractor and Monte-Carlo kernels feed *trajectory* planes through
+    the very same lowering the sweep backend compiled, so every path
+    shares one arithmetic implementation.  ``nwords`` is the planes'
+    shape (an int, or ``(rows, words)`` for node-major blocks); the
+    inputs are never written, and the result is a fresh array.
     """
     kind, data = kernel
     if kind == "parity":
@@ -201,6 +204,23 @@ def eval_bit_kernel(
         zeros = np.flatnonzero(data == 0)
         return ~_minterm_or(zeros, inputs, nwords, len(inputs))
     return _minterm_or(ones, inputs, nwords, len(inputs))
+
+
+def step_planes(kernels, windows, planes: np.ndarray) -> np.ndarray:
+    """One synchronous step of every lane of ``(n + 1, words)`` planes.
+
+    Row ``j < n`` of ``planes`` holds bit ``j`` of every lane and row
+    ``n`` is zero: the window sentinel ``n`` (the quiescent 0 past a
+    line's end) reads it.  Node ``i``'s new row is its kernel evaluated
+    once over its window's rows (:func:`lower_nodes`).  ``planes`` is only
+    read; the result is a fresh array of its shape, last row zero.
+    """
+    out = np.empty_like(planes)
+    nwords = planes.shape[1]
+    for i, (kernel, window) in enumerate(zip(kernels, windows)):
+        out[i] = eval_bit_kernel(kernel, [planes[src] for src in window], nwords)
+    out[-1] = 0
+    return out
 
 
 class BitplaneBackend(SweepBackend):
@@ -226,41 +246,25 @@ class BitplaneBackend(SweepBackend):
 
     # -- plane generation ------------------------------------------------------
 
-    def _plane(
-        self, j: int, lo: int, nwords: int, cache: dict[int, np.ndarray]
-    ) -> np.ndarray:
+    def _plane(self, j: int, lo: int, nwords: int) -> np.ndarray:
         """Input plane of configuration bit ``j`` for an aligned chunk."""
-        plane = cache.get(j)
-        if plane is not None:
-            return plane
-        if j == self.ca.n:  # quiescent sentinel slot: always 0
-            plane = np.zeros(nwords, dtype=np.uint64)
-        elif j < 6:
-            plane = np.full(nwords, _LOW_PATTERNS[j], dtype=np.uint64)
-        else:
-            words = (lo >> 6) + np.arange(nwords, dtype=np.int64)
-            plane = np.where(
-                (words >> (j - 6)) & 1 == 1, _ONES, np.uint64(0)
-            )
-        cache[j] = plane
-        return plane
+        if j < 6:
+            return np.full(nwords, _LOW_PATTERNS[j], dtype=np.uint64)
+        words = (lo >> 6) + np.arange(nwords, dtype=np.int64)
+        return np.where((words >> (j - 6)) & 1 == 1, _ONES, np.uint64(0))
 
     # -- the kernel --------------------------------------------------------------
 
     def flips_range(self, lo: int, hi: int) -> np.ndarray:
         # A short last word is padded: for n < 6 its padding codes lie
         # past 2**n; they are computed and zeroed.
-        nwords = (hi - lo + 63) >> 6
-        cache: dict[int, np.ndarray] = {}  # each input plane once per chunk
-        flips = np.empty((self.ca.n, nwords), dtype=np.uint64)
-        for i, (kernel, window) in enumerate(zip(self._kernels, self._windows)):
-            inputs = [self._plane(int(src), lo, nwords, cache) for src in window]
-            # The new bit XOR the node's own plane is its flip word.
-            np.bitwise_xor(
-                eval_bit_kernel(kernel, inputs, nwords),
-                self._plane(i, lo, nwords, cache),
-                out=flips[i],
-            )
+        n, nwords = self.ca.n, (hi - lo + 63) >> 6
+        planes = np.zeros((n + 1, nwords), dtype=np.uint64)
+        for j in range(n):
+            planes[j] = self._plane(j, lo, nwords)
+        # The new bit XOR the node's own plane is its flip word.
+        flips = step_planes(self._kernels, self._windows, planes)[:n]
+        flips ^= planes[:n]
         if (hi - lo) & 63:
             flips[:, -1] &= np.uint64((1 << ((hi - lo) & 63)) - 1)
         return flips
@@ -273,7 +277,7 @@ class BitplaneBackend(SweepBackend):
 
     def transient_bytes(self) -> int:
         n = self.ca.n
-        # the flip words (n/8 per configuration) beside the input-plane
-        # cache and count-level/minterm scratch, or the encoder (two int64s,
-        # a row)
+        # the step's n + 1 output rows (the flip words and a zero row)
+        # beside its n + 1 input planes and count-level/minterm scratch, or
+        # the encoder (two int64s, a row)
         return chunk_configs(n) * (n // 8 + 1 + max((n + 1) // 8 + 5, 17))

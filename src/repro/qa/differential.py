@@ -118,6 +118,17 @@ class Instance:
         return out
 
     @cached_property
+    def oracle_flip_words(self) -> np.ndarray:
+        """The oracle's sequential map as flip words
+        (:class:`~repro.core.nondet.NondetPhaseSpace`): bit ``x`` of row
+        ``i`` is bit ``i`` of ``x ^ oracle_succ[x]``, padding bits zero."""
+        n, size = self.ca.n, 1 << self.ca.n
+        changed = self.oracle_succ ^ np.arange(size, dtype=np.int64)
+        bits = np.zeros((n, max(64, size)), dtype=np.uint8)
+        bits[:, :size] = (changed >> np.arange(n, dtype=np.int64)[:, None]) & 1
+        return np.packbits(bits, axis=1, bitorder="little").view(np.uint64)
+
+    @cached_property
     def oracle_digest(self) -> dict:
         return PhaseSpace(self.oracle_succ, self.ca.n).summary()
 
@@ -257,10 +268,11 @@ def check_functional_graph(inst: Instance):
 def check_sequential_peel(inst: Instance):
     """The flip-word analysis vs SCC on the oracle's change edges.
 
-    The oracle's sequential map, packed into flip words, must give the
-    sink peel's verdict equal to "some SCC of the change-edge digraph
-    has size >= 2" (:func:`~repro.analysis.cycles.scc_labels` on edges
-    taken straight from ``oracle_node_succ``), and word popcounts equal
+    The oracle's sequential map as flip words (``oracle_flip_words``)
+    must give the sink peel's verdict equal to "some SCC of the
+    change-edge digraph has size >= 2"
+    (:func:`~repro.analysis.cycles.scc_labels` on edges taken straight
+    from ``oracle_node_succ``), and word popcounts equal
     to the edge formulas: fixed points (no change edge out),
     pseudo-fixed points (some self-loop, some change edge) and
     unreachable configurations (no change edge in).  Every phase-space
@@ -288,7 +300,7 @@ def check_sequential_peel(inst: Instance):
             np.count_nonzero(np.bincount(dsts, minlength=size) == 0)
         ),
     }
-    summary = NondetPhaseSpace(node_succ, inst.ca.n).summary()
+    summary = NondetPhaseSpace(inst.oracle_flip_words, inst.ca.n).summary()
     got = {key: summary[key] for key in expected}
     if got != expected:
         return {"vs": "scc_labels", "expected": expected, "got": got}
@@ -314,7 +326,7 @@ def check_sequential_reachability(inst: Instance):
     n = inst.ca.n
     if n > 14:
         return None
-    nps = NondetPhaseSpace(inst.oracle_node_succ, n)
+    nps = NondetPhaseSpace(inst.oracle_flip_words, n)
     closure = ReachabilityClosure(nps)
     rng = np.random.default_rng(inst.spec.seed)
     for code in sorted(set(rng.integers(0, nps.size, 3).tolist())):

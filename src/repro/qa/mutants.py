@@ -17,8 +17,8 @@ import numpy as np
 import repro.analysis.cycles as cycles
 import repro.analysis.quotient as quotient
 import repro.core.nondet as nondet
+import repro.mc.kernel as mc_kernel
 import repro.mc.sampler as mc_sampler
-import repro.perf.attractor as attractor
 import repro.perf.bitplane as bitplane
 from repro.mc.kernel import McKernel
 from repro.util.bitops import flip_lanes, lane_counts
@@ -35,20 +35,13 @@ def _mutant_bitplane_stale_bit():
     """
 
     def flips_range(self, lo, hi):
-        nwords = (hi - lo + 63) >> 6
-        cache: dict = {}
+        n, nwords = self.ca.n, (hi - lo + 63) >> 6
+        planes = np.zeros((n + 1, nwords), dtype=np.uint64)
+        for j in range(n):
+            planes[j] = self._plane(j, lo, nwords)
         # BUG: flips bit i whenever the new bit is 1, rather than
         # whenever it differs from the old bit.
-        flips = np.stack(
-            [
-                bitplane.eval_bit_kernel(
-                    kernel,
-                    [self._plane(int(src), lo, nwords, cache) for src in window],
-                    nwords,
-                )
-                for kernel, window in zip(self._kernels, self._windows)
-            ]
-        )
+        flips = bitplane.step_planes(self._kernels, self._windows, planes)[:n]
         if (hi - lo) & 63:
             flips[:, -1] &= np.uint64((1 << ((hi - lo) & 63)) - 1)
         return flips
@@ -59,10 +52,12 @@ def _mutant_bitplane_stale_bit():
 def _mutant_bitplane_parity_drop():
     """Bit-plane parity kernel forgets the last input plane.
 
-    Patches the shared module-level evaluator in *both* namespaces that
-    bind it (:mod:`repro.perf.bitplane` and the attractor kernel's
-    imported reference), as a bad edit to the shared lowering would hit
-    both the sweep backend and the attractor-direct path.
+    Patches the shared module-level evaluator in both namespaces whose
+    code calls it: :mod:`repro.perf.bitplane`, where the node loop
+    (:func:`~repro.perf.bitplane.step_planes`) steps the sweep backend's
+    and the attractor kernel's planes, and :mod:`repro.mc.kernel`, the
+    Monte-Carlo ring step.  A bad edit to the shared lowering would hit
+    all three paths.
     """
     original = bitplane.eval_bit_kernel
 
@@ -77,7 +72,7 @@ def _mutant_bitplane_parity_drop():
 
     return [
         (bitplane, "eval_bit_kernel", eval_bit_kernel),
-        (attractor, "eval_bit_kernel", eval_bit_kernel),
+        (mc_kernel, "eval_bit_kernel", eval_bit_kernel),
     ]
 
 

@@ -78,7 +78,7 @@ def check_sequential_cycle_free(inst):
     spec = inst.spec
     if not spec.memory or not rules_all_threshold(spec):
         return None
-    nps = NondetPhaseSpace(inst.oracle_node_succ, inst.ca.n)
+    nps = NondetPhaseSpace(inst.oracle_flip_words, inst.ca.n)
     if nps.has_proper_cycle():
         summary = nps.summary()
         return {

@@ -13,11 +13,13 @@ library; :func:`bits_to_int` and :func:`int_to_bits` are the only places the
 convention is spelled out.
 
 The SWAR kernels carry one configuration per *bit lane* instead: lane
-``j`` of a ``uint64`` word array is bit ``j % 64`` of word ``j // 64``.
-:func:`pack_lanes`, :func:`unpack_lanes` and :func:`lane_counts` convert
-between lane words and per-lane values; :func:`flip_lanes` and
-:func:`popcount_words` act on whole sets of configurations held as lane
-words (the sequential phase space's flip words).
+``j`` of a ``uint64`` word array is bit ``j % 64`` of word ``j // 64``,
+and a batch of configurations is one ``(rows, words)`` array whose row
+``i`` holds node ``i``'s bits.  :func:`pack_lanes`, :func:`unpack_lanes`,
+:func:`lane_counts` and :func:`lane_diff` convert between lane words and
+per-lane values; :func:`flip_lanes` and :func:`popcount_words` act on
+whole sets of configurations held as lane words (the sequential phase
+space's flip words).
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ __all__ = [
     "pack_lanes",
     "unpack_lanes",
     "lane_counts",
+    "lane_diff",
     "config_str",
     "parse_config",
 ]
@@ -349,6 +352,24 @@ def lane_counts(planes: np.ndarray, lanes: int) -> np.ndarray:
         digits = summed
     _add_unpacked(out, digits)
     return out
+
+
+def lane_diff(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Lane mask of the lanes where two ``(rows, words)`` states differ
+    in any row, a fresh ``(words,)`` array.
+
+    The node axis is OR-reduced by halving, in place: the top half of
+    the rows is ORed into the bottom half until one row is left, each
+    pass one contiguous block op (``np.bitwise_or.reduce`` along axis
+    0 runs row by row, several times slower at a few words a row).
+    """
+    diff = np.bitwise_xor(a, b)
+    rows = diff.shape[0]
+    while rows > 1:
+        half = rows >> 1
+        np.bitwise_or(diff[:half], diff[rows - half : rows], out=diff[:half])
+        rows -= half
+    return diff[0].copy()
 
 
 def config_str(value: int, n: int) -> str:

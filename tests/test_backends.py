@@ -43,8 +43,10 @@ from repro.perf import (
     resolve_backend,
 )
 from repro.perf.base import sweep_entries
-from repro.perf.bitplane import eval_bit_kernel
+from repro.perf.bitplane import eval_bit_kernel, lower_nodes, step_planes
 from repro.spaces.graph import GraphSpace
+from repro.spaces.grid import Grid2D
+from repro.spaces.hypercube import Hypercube
 from repro.spaces.line import Line, Ring
 from repro.util.bitops import config_str, int_to_bits
 
@@ -589,6 +591,71 @@ class TestCountProfileKernel:
                 for x, old in zip(inputs, before):
                     np.testing.assert_array_equal(x, old)
                     assert not np.shares_memory(out, x)
+
+
+STEP_PLANES_CASES = [
+    pytest.param(lambda: CellularAutomaton(Ring(9), MajorityRule()), id="ring9-majority"),
+    pytest.param(lambda: CellularAutomaton(Ring(7), XorRule()), id="ring7-xor"),
+    pytest.param(lambda: CellularAutomaton(Ring(8), WolframRule(110)), id="ring8-w110"),
+    pytest.param(
+        lambda: CellularAutomaton(Ring(11, radius=2), MajorityRule()),
+        id="ring11-r2-majority",
+    ),
+    pytest.param(
+        lambda: CellularAutomaton(Ring(10, radius=2), SimpleThresholdRule(2), memory=False),
+        id="ring10-r2-thr2-nomem",
+    ),
+    pytest.param(lambda: CellularAutomaton(Line(7), MajorityRule()), id="line7-majority"),
+    pytest.param(lambda: CellularAutomaton(Line(6), WolframRule(30)), id="line6-w30"),
+    pytest.param(
+        lambda: CellularAutomaton(Grid2D(3, 4, torus=False), MajorityRule()),
+        id="grid3x4-bounded-majority",
+    ),
+    pytest.param(
+        lambda: CellularAutomaton(Grid2D(3, 3, neighborhood="moore"), XorRule()),
+        id="grid3x3-moore-xor",
+    ),
+    pytest.param(
+        lambda: CellularAutomaton(Hypercube(3), SimpleThresholdRule(2)),
+        id="hypercube3-thr2",
+    ),
+    pytest.param(
+        lambda: HeterogeneousCA(
+            Ring(8),
+            [
+                MajorityRule(), XorRule(), SimpleThresholdRule(1), WolframRule(110),
+                SimpleThresholdRule(2), XorRule(), MajorityRule(), WolframRule(30),
+            ],
+        ),
+        id="hetero-ring8",
+    ),
+]
+
+
+class TestStepPlanes:
+    """The node loop of the flip kernel and the attractor kernel against
+    the scalar ``ca.step``, lane by lane, on 192 random configurations."""
+
+    @pytest.mark.parametrize("make_ca", STEP_PLANES_CASES)
+    def test_matches_scalar_step(self, make_ca):
+        ca = make_ca()
+        n, lanes = ca.n, 192
+        codes = np.random.default_rng(n).integers(0, 1 << n, lanes)
+        states = np.stack([int_to_bits(int(c), n) for c in codes])
+        planes = np.zeros((n + 1, lanes // 64), dtype=np.uint64)
+        rows = np.ascontiguousarray(states.T)  # row j: bit j of every lane
+        planes[:n] = np.packbits(rows, axis=1, bitorder="little").view(np.uint64)
+        before = planes.copy()
+        out = step_planes(*lower_nodes(ca), planes)
+        np.testing.assert_array_equal(planes, before)
+        assert out.shape == planes.shape and out.dtype == np.uint64
+        assert not np.shares_memory(out, planes)
+        assert not out[n].any()  # the sentinel row stays zero
+        got = np.unpackbits(out[:n].view(np.uint8), axis=1, bitorder="little").T
+        for t, state in enumerate(states):
+            np.testing.assert_array_equal(
+                got[t], ca.step(state), err_msg=f"lane {t}: {config_str(int(codes[t]), n)}"
+            )
 
 
 class TestPhaseSpaceIndexes:

@@ -13,6 +13,7 @@ from repro.util.bitops import (
     flip_lanes,
     int_to_bits,
     lane_counts,
+    lane_diff,
     pack_lanes,
     parse_config,
     popcount,
@@ -265,6 +266,27 @@ class TestLaneCounts:
         got = lane_counts(planes, 100)
         np.testing.assert_array_equal(got, _unpack_column_sums(planes, 100))
         np.testing.assert_array_equal(planes, before)
+
+
+class TestLaneDiff:
+    @pytest.mark.parametrize("rows", range(1, 10))
+    @pytest.mark.parametrize("nwords", [1, 2, 3])
+    def test_matches_or_reduce_of_xor(self, rows, nwords):
+        shape = (rows, nwords)
+        a = _random_words(shape, [rows, nwords])
+        # a few differing lanes per row, so every row shows in the result
+        delta = _random_words(shape, [rows, nwords, 1])
+        for k in range(2, 5):
+            delta &= _random_words(shape, [rows, nwords, k])
+        b = a ^ delta
+        a_before, b_before = a.copy(), b.copy()
+        got = lane_diff(a, b)
+        np.testing.assert_array_equal(got, np.bitwise_or.reduce(a ^ b, axis=0))
+        assert got.shape == (nwords,) and got.dtype == np.uint64
+        np.testing.assert_array_equal(a, a_before)
+        np.testing.assert_array_equal(b, b_before)
+        assert got.flags.owndata  # a fresh row, not a view of scratch
+        assert not lane_diff(a, a).any()
 
 
 class TestLanePacking:

@@ -114,7 +114,7 @@ class TestNonHomogeneousDichotomy:
             het = HeterogeneousCA(
                 Ring(7), [SimpleThresholdRule(int(t)) for t in thetas]
             )
-            nps = NondetPhaseSpace(het.all_node_successors(), 7)
+            nps = NondetPhaseSpace.from_automaton(het)
             assert not nps.has_proper_cycle()
 
     def test_theorem_check(self):
@@ -128,7 +128,7 @@ class TestNonHomogeneousDichotomy:
         # guarantee: XOR nodes can oscillate sequentially.
         g = GraphSpace(nx.path_graph(2))
         het = HeterogeneousCA(g, [XorRule(), XorRule()])
-        nps = NondetPhaseSpace(het.all_node_successors(), 2)
+        nps = NondetPhaseSpace.from_automaton(het)
         assert nps.has_proper_cycle()
 
 

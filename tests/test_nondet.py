@@ -40,11 +40,21 @@ class TestConstruction:
         with pytest.raises(ValueError):
             NondetPhaseSpace(np.zeros((3, 4), dtype=np.int64), 2)
 
-    def test_rejects_successors_changing_another_bit(self):
+    def test_rejects_successor_matrix(self):
         succ = CellularAutomaton(Ring(4), MajorityRule()).all_node_successors()
-        succ[1, 5] ^= 0b1000  # node 1's update touching bit 3
-        with pytest.raises(ValueError, match="row 1 .* other than bit 1"):
+        with pytest.raises(ValueError, match="expected \\(4, 1\\) uint64"):
             NondetPhaseSpace(succ, 4)
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_rejects_flip_words_setting_padding_bits(self, n):
+        # a space of 2**n < 64 configurations is one word: bits 2**n .. 63
+        # are padding and must be zero
+        words = np.zeros((n, 1), dtype=np.uint64)
+        words[-1, 0] = np.uint64(1) << np.uint64(1 << n)
+        with pytest.raises(ValueError, match="padding bits"):
+            NondetPhaseSpace(words, n)
+        words[-1, 0] = np.uint64((1 << (1 << n)) - 1)  # every real bit set
+        assert NondetPhaseSpace(words, n).change_edge_count() == 1 << n
 
     def test_transitions_listing(self, xor2_nps):
         # From 11, node 0 -> 10 (code 2), node 1 -> 01 (code 1).
@@ -270,7 +280,7 @@ class TestSinkPeel:
             moved = row != codes
             graph.add_edges_from(zip(codes[moved].tolist(), row[moved].tolist()))
         assert nx.is_directed_acyclic_graph(graph)
-        words = NondetPhaseSpace(node_succ, ca.n).words
+        words = _flip_words(node_succ)
         budget = _CountingBudget()
         cyclic, rounds = _traced_peel(words, budget)
         assert cyclic is False
@@ -283,7 +293,7 @@ class TestSinkPeel:
         node_succ = _scalar_node_successors(ca)
         ref = _reference_analysis(node_succ)["summary"]["has_proper_cycle"]
         budget = _CountingBudget()
-        cyclic, rounds = _traced_peel(NondetPhaseSpace(node_succ, 7).words, budget)
+        cyclic, rounds = _traced_peel(_flip_words(node_succ), budget)
         assert cyclic is ref
         assert budget.polls == rounds
 
@@ -432,6 +442,17 @@ def _scalar_node_successors(ca) -> np.ndarray:
     return np.stack([codes ^ ((codes ^ image) & (1 << i)) for i in range(ca.n)])
 
 
+def _flip_words(node_succ: np.ndarray) -> np.ndarray:
+    """Flip words of an int64 successor matrix, set bit by bit: bit ``x``
+    of row ``i`` is set iff updating node ``i`` changes ``x``; a space of
+    less than one word is one word with zero padding bits."""
+    n, size = node_succ.shape
+    words = np.zeros((n, max(1, size >> 6)), dtype=np.uint64)
+    for i, x in zip(*np.nonzero(node_succ != np.arange(size))):
+        words[i, x >> 6] |= np.uint64(1) << np.uint64(x & 63)
+    return words
+
+
 def _reference_two_cycle(node_succ: np.ndarray, comps: list) -> tuple | None:
     n = node_succ.shape[0]
     for comp in comps:
@@ -497,13 +518,7 @@ class TestFlipFormat:
         """``make_ca(backend)`` builds the automaton on one backend."""
         node_succ = _scalar_node_successors(make_ca("numpy"))
         ref = _reference_analysis(node_succ)
-        n, size = node_succ.shape
-        # bit x of row i is set iff updating node i changes x; a space of
-        # less than one word is one word with zero padding bits
-        flips = node_succ != np.arange(size)
-        want = np.zeros((n, max(1, size >> 6)), dtype=np.uint64)
-        for i, x in zip(*np.nonzero(flips)):
-            want[i, x >> 6] |= np.uint64(1) << np.uint64(x & 63)
+        want = _flip_words(node_succ)
         for backend in ("numpy", "bitplane"):
             ca = make_ca(backend)
             what = f"{ca.describe()} on {backend}"
@@ -526,11 +541,6 @@ class TestFlipFormat:
             transitions = [nps.transitions(c) for c in range(nps.size)]
             assert transitions == ref["transitions"], what
             assert nps.summary() == ref["summary"], what
-        # the integer and the bool matrix convert to the same words
-        for matrix in (node_succ, flips):
-            converted = NondetPhaseSpace(matrix, ca.n)
-            np.testing.assert_array_equal(converted.words, want)
-            assert converted.summary() == ref["summary"]
 
     def test_every_wolfram_rule_on_ring6(self):
         for number in range(256):
